@@ -20,9 +20,10 @@ import time
 import numpy as np
 
 from . import __version__
+from .gegenbauer import MAX_DEGREE
 from .kernel import Configuration, design_residual, gw_d1, hessian_step_bound, make_kernel
 from .solver import SolveOptions, initial_configuration, scaling_study, solve
-from .sphere import Partition, eq_partition
+from .sphere import UNIT_TOL, Partition, eq_partition, off_sphere_rows
 from .verifier import (
     MAX_MONOMIAL_DEGREE,
     MAX_MONOMIAL_DIM,
@@ -157,9 +158,14 @@ def read_pointset(path):
         if X.shape[0] != int(doc["N"]):
             raise DataFormatError(f"{path}: N={doc['N']} does not match {X.shape[0]} rows")
         n = int(doc["n"]) if "n" in doc and doc["n"] is not None else None
-    bad = np.nonzero(np.abs(np.linalg.norm(X, axis=1) - 1.0) > 1e-9)[0]
+    bad = off_sphere_rows(X)
     if bad.size:
-        raise DataFormatError(f"{path}: row {int(bad[0]) + 1} is not a unit vector")
+        row = int(bad[0])
+        if not np.all(np.isfinite(X[row])):
+            raise DataFormatError(f"{path}: row {row + 1} has a non-finite entry")
+        raise DataFormatError(
+            f"{path}: row {row + 1} is not a unit vector (|norm - 1| > {UNIT_TOL:g})"
+        )
     return d, n, X
 
 
@@ -248,11 +254,15 @@ def _resolve_threads(args, parser):
     return threads
 
 
+def _check_strength(args, parser):
+    if not 1 <= args.n <= MAX_DEGREE:
+        parser.error(f"-n must be in 1..{MAX_DEGREE}")
+
+
 def cmd_generate(args, parser):
     if args.d < 1:
         parser.error("-d must be >= 1")
-    if args.n < 1:
-        parser.error("-n must be >= 1")
+    _check_strength(args, parser)
     _resolve_threads(args, parser)
     spec = make_kernel(args.d, args.n)
     opts = SolveOptions(max_iterations=args.max_iter, tolerance=args.tol, seed=args.seed)
@@ -371,8 +381,7 @@ def _read_json(path):
 def cmd_kernel_info(args, parser):
     if args.d < 1:
         parser.error("-d must be >= 1")
-    if args.n < 1:
-        parser.error("-n must be >= 1")
+    _check_strength(args, parser)
     spec = make_kernel(args.d, args.n)
     print(f"kernel d={args.d} n={args.n} alpha={spec.alpha}")
     print(f"{'k':>4} {'w_k':>10} {'dim_k':>10} {'lambda_k':>24}")

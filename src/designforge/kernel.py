@@ -25,7 +25,7 @@ from .gegenbauer import (
     gegenbauer_at_one_exact,
     harmonic_dim,
 )
-from .sphere import TangentVector, UnitPoint, as_coords
+from .sphere import UNIT_TOL, TangentVector, UnitPoint, as_coords, off_sphere_rows
 
 ACHIEVED_ZERO = 1e-24
 
@@ -205,10 +205,9 @@ class Configuration:
             raise ValueError(f"points must have {spec.d + 1} coordinates")
         if X.shape[0] < 1:
             raise ValueError("empty configuration")
-        norms = np.linalg.norm(X, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("configuration points must be unit vectors (1e-12)")
-        self.coords = X / norms[:, None]
+        if off_sphere_rows(X).size:
+            raise ValueError(f"configuration points must be finite unit vectors ({UNIT_TOL:g})")
+        self.coords = X / np.linalg.norm(X, axis=1)[:, None]
         self.coords.flags.writeable = False
         self._gram = None
 

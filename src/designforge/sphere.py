@@ -28,7 +28,7 @@ class UnitPoint:
         c = np.asarray(self.coords, dtype=float)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("coords must be a vector of length d+1 >= 2")
-        if abs(np.linalg.norm(c) - 1.0) > UNIT_TOL:
+        if not abs(np.linalg.norm(c) - 1.0) <= UNIT_TOL:
             raise ValueError("coords are not unit length")
         c = c.copy()
         c.flags.writeable = False
@@ -132,6 +132,13 @@ def as_coords(points):
     if a.ndim != 2 or a.shape[1] < 2:
         raise ValueError("expected an (N, d+1) array of points")
     return a
+
+
+def off_sphere_rows(X):
+    """Indices of the rows of X that are non-finite or whose norm misses 1
+    by more than UNIT_TOL, the one unit-norm tolerance from file to kernel."""
+    norm_error = np.abs(np.linalg.norm(np.asarray(X, dtype=float), axis=1) - 1.0)
+    return np.flatnonzero(~(norm_error <= UNIT_TOL))
 
 
 # -- cap geometry ----

@@ -2,10 +2,20 @@
 
 The design check never touches the kernel code path: monomials up to the
 target degree are averaged over the points and compared against exact
-closed-form sphere integrals computed in rational arithmetic.  The module
-also validates the two-sided L1 sampling inequality (Marcinkiewicz-
-Zygmund) against dense reference quadrature, and the averaging bound used
-to seed the solver, by Monte Carlo over in-region sampling.
+closed-form sphere integrals computed in rational arithmetic.
+
+The module also validates the two-sided L1 sampling inequality
+(Marcinkiewicz-Zygmund) against a dense product quadrature grid.  The
+grid is a stack of rings: on each, the nodes share every coordinate but
+the first two, (x0, x1) = r (cos phi, sin phi), at L equispaced
+half-step longitudes.  A polynomial of degree <= m restricted to a ring
+is a trigonometric polynomial of degree <= m in phi, so its values at all
+L nodes follow exactly from 2m+1 equispaced samples (an rfft, a phase
+shift, a zero-padded irfft) whenever L >= 2m+1.  The reference integral
+of |P| therefore costs R (2m+1) evaluations of P plus FFTs, not R L.
+
+Finally the averaging bound used to seed the solver is checked by Monte
+Carlo over in-region sampling.
 """
 
 import math
@@ -17,7 +27,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .kernel import _energy_raw, gw_eval, make_kernel
-from .sphere import as_coords
+from .sphere import UNIT_TOL, as_coords, off_sphere_rows
 from .solver import initial_energy_bound
 
 MAX_MONOMIAL_DIM = 4
@@ -105,12 +115,11 @@ def is_design(points, n, tol):
     """Certify the design property by exhaustive monomial comparison.
 
     Returns (passed, worst_error, witness_exponents); independent of the
-    kernel energy path.
+    kernel energy path.  Non-finite or non-unit rows raise ValueError.
     """
     X = as_coords(points)
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ValueError("points must be unit vectors (1e-9)")
+    if off_sphere_rows(X).size:
+        raise ValueError(f"points must be finite unit vectors ({UNIT_TOL:g})")
     worst, witness = worst_monomial_deviation(X, n)
     return worst <= tol, worst, witness
 
@@ -127,44 +136,101 @@ def residual_consistency(config):
 
 # -- reference quadrature ----
 
-def sphere_quadrature_grid(d, min_nodes=1_000_000):
-    """Dense product quadrature grid on S^d, d <= 3: (points, weights).
+class QuadratureRings(NamedTuple):
+    """A product quadrature grid on S^d, d <= 3, stored ring by ring.
 
-    Gauss-Legendre in each colatitude factor, uniform in longitude;
-    weights are normalized to total mass 1.  Exact for polynomials well
-    beyond the degrees used here; accuracy for |P| integrands is set by
-    the node count (error O(nodes^(-2/d)) near kinks).
+    Ring r holds the L nodes (radius[r] cos phi_j, radius[r] sin phi_j,
+    *axial[r]) at the half-step longitudes phi_j = (j + 1/2) 2 pi / L,
+    each of weight weight[r].  Expanded with longitude innermost, the rings
+    give the nodes of `sphere_quadrature_grid` in its order.
+    """
+
+    axial: np.ndarray   # (R, d - 1) coordinates 2..d of each ring
+    radius: np.ndarray  # (R,) radius of each ring in the (x0, x1) plane
+    weight: np.ndarray  # (R,) weight of each node on the ring
+    L: int              # longitudes per ring
+
+
+def quadrature_rings(d, min_nodes=1_000_000, min_longitudes=1):
+    """Ring form of the dense product grid on S^d, d <= 3.
+
+    Gauss-Legendre in each colatitude factor, uniform in longitude, at
+    least `min_longitudes` longitudes a ring; weights sum to 1 (for d = 3,
+    up to the Gauss rule's error on the sin^2 factor).  For d = 3
+    a ring is a pair (theta_a, colatitude_b) of the S^2 grid scaled by
+    sin(theta_a), with axial coordinates (sin(theta_a) t_b, cos(theta_a)).
     """
     if d == 1:
-        M = int(min_nodes)
-        phi = (np.arange(M) + 0.5) * (2.0 * math.pi / M)
-        pts = np.column_stack([np.cos(phi), np.sin(phi)])
-        return pts, np.full(M, 1.0 / M)
+        L = max(int(min_nodes), min_longitudes)
+        return QuadratureRings(np.empty((1, 0)), np.ones(1), np.full(1, 1.0 / L), L)
     if d == 2:
         na = max(2, math.ceil(math.sqrt(min_nodes)))
+        L = max(na, min_longitudes)
         t, wt = roots_legendre(na)
-        phi = (np.arange(na) + 0.5) * (2.0 * math.pi / na)
         s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-        pts = np.empty((na * na, 3))
-        pts[:, 0] = np.outer(s, np.cos(phi)).ravel()
-        pts[:, 1] = np.outer(s, np.sin(phi)).ravel()
-        pts[:, 2] = np.repeat(t, na)
-        w = np.repeat(wt * 0.5, na) / na
-        return pts, w
+        return QuadratureRings(t[:, None], s, wt * 0.5 / L, L)
     if d == 3:
         na = max(2, math.ceil(min_nodes ** (1.0 / 3.0)))
         u, wu = roots_legendre(na)
         theta = 0.5 * math.pi * (u + 1.0)  # colatitude on [0, pi]
         # sin^2 weight: the (pi/2) interval scale cancels the measure norm
         w1 = wu * np.sin(theta) ** 2
-        sub_pts, sub_w = sphere_quadrature_grid(2, na * na)
-        M2 = sub_pts.shape[0]
-        pts = np.empty((na * M2, 4))
-        pts[:, :3] = np.repeat(np.sin(theta), M2)[:, None] * np.tile(sub_pts, (na, 1))
-        pts[:, 3] = np.repeat(np.cos(theta), M2)
-        w = np.repeat(w1, M2) * np.tile(sub_w, na)
-        return pts, w
+        sub = quadrature_rings(2, na * na, min_longitudes)
+        S = sub.radius.size
+        sin_theta = np.repeat(np.sin(theta), S)
+        axial = np.column_stack([sin_theta * np.tile(sub.axial[:, 0], na),
+                                 np.repeat(np.cos(theta), S)])
+        return QuadratureRings(axial, sin_theta * np.tile(sub.radius, na),
+                               np.repeat(w1, S) * np.tile(sub.weight, na), sub.L)
     raise ValueError("reference quadrature unsupported for d > 3")
+
+
+def _ring_points(rings, phi):
+    """Nodes at longitudes phi on every ring, ring-major: (R * len(phi), d+1)."""
+    R = rings.radius.size
+    Y = np.empty((R, phi.size, rings.axial.shape[1] + 2))
+    Y[:, :, 0] = np.outer(rings.radius, np.cos(phi))
+    Y[:, :, 1] = np.outer(rings.radius, np.sin(phi))
+    Y[:, :, 2:] = rings.axial[:, None, :]
+    return Y.reshape(R * phi.size, -1)
+
+
+def sphere_quadrature_grid(d, min_nodes=1_000_000):
+    """Dense product quadrature grid on S^d, d <= 3: (points, weights).
+
+    The expansion of `quadrature_rings(d, min_nodes)`, longitude innermost.
+    Exact for polynomials well beyond the degrees used here; accuracy for
+    |P| integrands is set by the node count (error O(nodes^(-2/d)) near
+    kinks).
+    """
+    rings = quadrature_rings(d, min_nodes)
+    phi = (np.arange(rings.L) + 0.5) * (2.0 * math.pi / rings.L)
+    return _ring_points(rings, phi), np.repeat(rings.weight, rings.L)
+
+
+def ring_values(evaluate, rings, m):
+    """Values (R, L) of a degree-<=m polynomial at every node of the rings.
+
+    On a ring, P is a trigonometric polynomial of degree <= m in longitude,
+    so its 2m+1 samples at psi_k = 2 pi k / (2m+1) fix it: rfft gives its
+    Fourier coefficients c_k, k = 0..m, a phase e^(i k pi / L) moves them
+    to the half-step grid, and a zero-padded irfft of length L >= 2m+1
+    returns P at all L longitudes.  Only R (2m+1) points are evaluated.
+    """
+    K = 2 * m + 1
+    L = rings.L
+    if L < K:
+        raise ValueError(f"rings need at least {K} longitudes for degree {m}")
+    psi = np.arange(K) * (2.0 * math.pi / K)
+    samples = evaluate(_ring_points(rings, psi)).reshape(-1, K)
+    coeffs = np.fft.rfft(samples, axis=1)
+    coeffs *= (L / K) * np.exp(1j * (math.pi / L) * np.arange(m + 1))
+    return np.fft.irfft(coeffs, n=L, axis=1)
+
+
+def _ring_abs_integral(evaluate, rings, m):
+    """Quadrature of |P| over the rings' nodes."""
+    return float(rings.weight @ np.abs(ring_values(evaluate, rings, m)).sum(axis=1))
 
 
 @dataclass
@@ -192,41 +258,48 @@ def mz_check(points, partition, m, trials=100, seed=0, min_nodes=1_000_000):
     (1/2, 3/2) times the true integral for random degree-<=m polynomials?
 
     Trials alternate between random kernel-span combinations and random
-    monomial mixtures; the reference integral uses a dense product grid
-    (consistency-checked against a coarser grid on the first trials).
+    monomial mixtures.  The reference integral is the dense product grid
+    of `quadrature_rings`, consistency-checked against a coarser grid on
+    the first two trials.  Both grids are integrated ring by ring: each
+    trial polynomial is evaluated at 2m+1 longitudes per ring and resampled
+    to the ring's L longitudes by `ring_values`, which is exact because P
+    has degree <= m in longitude (each grid has L >= 2m+1, raised if need
+    be, so nothing aliases).  The discrete mean is evaluated directly on
+    the points.  A non-finite ratio fails the check.
     """
     X = as_coords(points)
     d = X.shape[1] - 1
+    if not np.all(np.isfinite(X)):
+        raise ValueError("points must be finite")
     if partition is not None and partition.d != d:
         raise ValueError("partition dimension does not match the points")
     if m < 1:
         raise ValueError("polynomial degree m must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    grid, gw = sphere_quadrature_grid(d, min_nodes)
-    coarse = sphere_quadrature_grid(d, max(4096, min_nodes // 4))
+    rings = quadrature_rings(d, min_nodes, 2 * m + 1)
+    coarse = quadrature_rings(d, max(4096, min_nodes // 4), 2 * m + 1)
     spec_m = make_kernel(d, m)
     exponent_pool = list(monomial_exponents(d, m, 0)) if d <= MAX_MONOMIAL_DIM else None
 
-    lo = math.inf
-    hi = -math.inf
+    ratios = np.empty(trials)
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         if trial % 2 == 0 or exponent_pool is None:
             evaluate = _random_kernel_span(spec_m, d, rng)
         else:
             evaluate = _random_monomial_mixture(exponent_pool, d, rng)
-        reference = float(np.dot(gw, np.abs(evaluate(grid))))
+        reference = _ring_abs_integral(evaluate, rings, m)
         if trial < 2:
-            check = float(np.dot(coarse[1], np.abs(evaluate(coarse[0]))))
-            if abs(check - reference) > 1e-3 * max(reference, 1e-12):
+            check = _ring_abs_integral(evaluate, coarse, m)
+            if not abs(check - reference) <= 1e-3 * max(reference, 1e-12):
                 raise ArithmeticError("reference quadrature failed its grid consistency check")
         discrete = float(np.mean(np.abs(evaluate(X))))
-        ratio = discrete / reference
-        lo = min(lo, ratio)
-        hi = max(hi, ratio)
+        ratios[trial] = discrete / reference if reference > 0.0 else math.nan
+    lo = float(np.min(ratios))
+    hi = float(np.max(ratios))
     return MzReport(degree=m, trials=trials, min_ratio=lo, max_ratio=hi,
-                    passed=(0.5 < lo and hi < 1.5))
+                    passed=bool(np.all(np.isfinite(ratios))) and 0.5 < lo and hi < 1.5)
 
 
 def _random_kernel_span(spec_m, d, rng, centers=8):

@@ -147,6 +147,13 @@ def test_energy_empty_rejected():
         Configuration(s, np.zeros((0, 3)))
 
 
+def test_configuration_rejects_non_finite_and_off_tolerance_rows():
+    s = make_kernel(2, 2)
+    for bad in (np.full((4, 3), np.nan), TETRA * (1.0 + 1e-11)):
+        with pytest.raises(ValueError):
+            Configuration(s, bad)
+
+
 def test_energy_by_degree_tetrahedron():
     s = make_kernel(2, 3)
     parts = energy_by_degree(Configuration(s, TETRA))

@@ -17,6 +17,7 @@ from designforge.sphere import (
     random_point,
     region_center,
     region_sample,
+    off_sphere_rows,
     tangent_project,
 )
 
@@ -40,6 +41,17 @@ def test_normalize_rejects_zero():
 def test_unit_point_validation():
     with pytest.raises(ValueError):
         UnitPoint(np.array([1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError):
+        UnitPoint(np.array([np.nan, 0.0, 0.0]))
+
+
+def test_off_sphere_rows_flags_non_finite_and_off_tolerance_rows():
+    X = np.tile([0.0, 0.6, 0.8], (6, 1))
+    X[1, 0] = np.nan
+    X[2, 2] = np.inf
+    X[3] *= 1.0 + 1e-11
+    X[4] *= 1.0 + 1e-14
+    assert off_sphere_rows(X).tolist() == [1, 2, 3]
 
 
 def test_tangent_project_removes_radial_part():
