@@ -1,112 +1,7 @@
-"""Numerical construction and certification of spherical n-designs on S^d."""
+"""Numerical construction and certification of spherical n-designs on S^d.
+
+Import from the submodules: `gegenbauer`, `kernel`, `solver`, `sphere`,
+`verifier` and `cli`.
+"""
 
 __version__ = "0.1.0"
-
-from .gegenbauer import (
-    gegenbauer_at_one,
-    gegenbauer_derivative,
-    gegenbauer_eval,
-    harmonic_dim,
-    orthogonality_residual,
-)
-from .kernel import (
-    Configuration,
-    KernelSpec,
-    design_residual,
-    energy,
-    energy_by_degree,
-    energy_gradient,
-    gw_d1,
-    gw_d2,
-    gw_eval,
-    hessian_step_bound,
-    kernel_poly_eval,
-    kernel_poly_norm,
-    make_kernel,
-)
-from .solver import (
-    SolveOptions,
-    SolveReport,
-    descent_step,
-    descent_velocities,
-    initial_configuration,
-    initial_energy_bound,
-    scaling_study,
-    solve,
-)
-from .sphere import (
-    Partition,
-    Region,
-    TangentVector,
-    UnitPoint,
-    eq_partition,
-    geodesic_step,
-    normalize,
-    partition_norm,
-    random_point,
-    region_center,
-    region_sample,
-    tangent_project,
-)
-from .verifier import (
-    MzReport,
-    SamplingEnergyReport,
-    is_design,
-    monomial_sphere_integral,
-    mz_check,
-    residual_consistency,
-    sampling_energy_check,
-    sphere_quadrature_grid,
-    worst_monomial_deviation,
-)
-
-__all__ = [
-    "__version__",
-    "Configuration",
-    "KernelSpec",
-    "MzReport",
-    "Partition",
-    "Region",
-    "SamplingEnergyReport",
-    "SolveOptions",
-    "SolveReport",
-    "TangentVector",
-    "UnitPoint",
-    "descent_step",
-    "descent_velocities",
-    "design_residual",
-    "energy",
-    "energy_by_degree",
-    "energy_gradient",
-    "eq_partition",
-    "gegenbauer_at_one",
-    "gegenbauer_derivative",
-    "gegenbauer_eval",
-    "geodesic_step",
-    "gw_d1",
-    "gw_d2",
-    "gw_eval",
-    "harmonic_dim",
-    "hessian_step_bound",
-    "initial_configuration",
-    "initial_energy_bound",
-    "is_design",
-    "kernel_poly_eval",
-    "kernel_poly_norm",
-    "make_kernel",
-    "monomial_sphere_integral",
-    "mz_check",
-    "normalize",
-    "orthogonality_residual",
-    "partition_norm",
-    "random_point",
-    "region_center",
-    "region_sample",
-    "residual_consistency",
-    "sampling_energy_check",
-    "scaling_study",
-    "solve",
-    "sphere_quadrature_grid",
-    "tangent_project",
-    "worst_monomial_deviation",
-]

@@ -12,10 +12,9 @@ Exit codes: 0 success/pass, 1 verification fail, 2 nonconvergence,
 import argparse
 import ast
 import datetime
+import json
 import math
-import os
 import sys
-import time
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .sphere import UNIT_TOL, Partition, eq_partition, off_sphere_rows
 from .verifier import (
     MAX_MONOMIAL_DEGREE,
     MAX_MONOMIAL_DIM,
+    MAX_MZ_DIM,
     is_design,
     mz_check,
 )
@@ -118,13 +118,8 @@ def write_pointset(path, d, N, points, n=None, metadata=None):
 
 def read_pointset(path):
     """Load a point-set file (JSON or CSV); returns (d, n_or_None, points)."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError:
-        raise
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     if str(path).endswith(".csv"):
         points = []
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -235,23 +230,9 @@ def _parse_n_range(text):
 
 # -- subcommands ----
 
-def _threads_default():
-    env = os.environ.get("DESIGN_FORGE_THREADS")
-    return int(env) if env else 1
-
-
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker cap (default: DESIGN_FORGE_THREADS or 1)")
     sub.add_argument("--verbose", action="store_true", help="log progress to stderr")
-
-
-def _resolve_threads(args, parser):
-    threads = args.threads if args.threads is not None else _threads_default()
-    if threads < 1:
-        parser.error("--threads must be >= 1")
-    return threads
 
 
 def _check_strength(args, parser):
@@ -263,7 +244,6 @@ def cmd_generate(args, parser):
     if args.d < 1:
         parser.error("-d must be >= 1")
     _check_strength(args, parser)
-    _resolve_threads(args, parser)
     spec = make_kernel(args.d, args.n)
     opts = SolveOptions(max_iterations=args.max_iter, tolerance=args.tol, seed=args.seed)
 
@@ -297,10 +277,9 @@ def cmd_generate(args, parser):
     verification = None
     if report.terminated == "converged":
         mz = None
-        if args.d <= 3:
+        if args.d <= MAX_MZ_DIM:
             mz = mz_check(final.coords, partition, 2 * args.n,
                           trials=_MZ_PIPELINE_TRIALS, seed=args.seed)
-            report.mz_checked = mz.passed
         residual = design_residual(final)
         verification = {"n": args.n, "N": chosen_N, "d": args.d, "residual": residual}
         if args.d <= MAX_MONOMIAL_DIM and args.n <= MAX_MONOMIAL_DEGREE:
@@ -341,13 +320,21 @@ def cmd_generate(args, parser):
 def cmd_verify(args, parser):
     if args.n < 1:
         parser.error("-n must be >= 1")
-    _resolve_threads(args, parser)
+    if args.mz is not None and args.mz_trials < 1:
+        parser.error("--mz-trials must be >= 1")
     d, _, X = read_pointset(args.input)
     if d > MAX_MONOMIAL_DIM or args.n > MAX_MONOMIAL_DEGREE:
         parser.error(
             f"monomial certification supports d <= {MAX_MONOMIAL_DIM}, "
             f"n <= {MAX_MONOMIAL_DEGREE}"
         )
+    partition = None
+    if args.mz is not None:
+        if d > MAX_MZ_DIM:
+            parser.error(f"--mz supports d <= {MAX_MZ_DIM}")
+        partition = _read_partition(args.mz)
+        if partition.d != d:
+            raise DataFormatError(f"{args.mz}: partition is on S^{partition.d}, points on S^{d}")
     passed, worst, witness = is_design(X, args.n, args.tol)
     spec = make_kernel(d, args.n)
     residual = design_residual(Configuration(spec, X))
@@ -360,8 +347,7 @@ def cmd_verify(args, parser):
         "pass": passed,
         "residual": residual,
     }
-    if args.mz is not None:
-        partition = Partition.from_dict(_read_json(args.mz))
+    if partition is not None:
         mz = mz_check(X, partition, args.n, trials=args.mz_trials, seed=args.seed)
         doc["mz"] = mz.to_dict()
     _emit(doc)
@@ -369,13 +355,18 @@ def cmd_verify(args, parser):
 
 
 def _read_json(path):
-    import json
-
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})")
+
+
+def _read_partition(path):
+    try:
+        return Partition.from_dict(_read_json(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: not a partition ({type(exc).__name__}: {exc})")
 
 
 def cmd_kernel_info(args, parser):
@@ -421,6 +412,8 @@ def cmd_study(args, parser):
         parser.error(f"cannot parse n range {args.n_range!r}")
     if not n_values:
         parser.error("empty n range")
+    if not all(1 <= n <= MAX_DEGREE for n in n_values):
+        parser.error(f"--n values must be in 1..{MAX_DEGREE}")
     try:
         rule = lambda n: eval_count_rule(args.N_rule, n)  # noqa: E731
         rule(n_values[0])

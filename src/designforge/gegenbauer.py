@@ -2,10 +2,15 @@
 
 Everything here is scalar special-function plumbing: the three-term
 recurrence for C_k^alpha on [-1, 1], closed forms at t = 1, and the
-dimension count for the degree-k harmonic space on S^d.  The alpha = 0
-case (the circle, d = 1) uses the renormalized Chebyshev limit
-lim_{a->0} C_k^a / a = (2/k) T_k so that values at 1 stay nonzero and the
-zonal addition identity keeps the same shape as for d >= 2.
+dimension count for the degree-k harmonic space on S^d.
+
+`gegenbauer_terms` is the only float64 three-term recurrence in the
+package; every value, derivative, kernel series and per-degree sum is read
+off the sequence it yields.  The alpha = 0 case (the circle, d = 1) uses
+the renormalized Chebyshev limit C_k^0 := lim_{a->0} C_k^a / a = (2/k) T_k
+(and C_0^0 = 1), so that values at 1 stay nonzero and the zonal addition
+identity keeps the same shape as for d >= 2.  At alpha = 0 the generator
+yields T_k itself, and `renormalization` gives the factor 2/k.
 """
 
 import math
@@ -31,7 +36,7 @@ def _check_alpha(alpha):
         raise ValueError("alpha < 0 is not supported (alpha = (d-1)/2 >= 0)")
 
 
-def _clamp(t):
+def clamp_unit(t):
     """Clamp t into [-1, 1], allowing 1e-12 of rounding drift outside."""
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + _T_SLACK):
@@ -39,47 +44,65 @@ def _clamp(t):
     return np.clip(t, -1.0, 1.0)
 
 
+def gegenbauer_terms(alpha, n, t):
+    """Yield P_0(t), ..., P_n(t) by the three-term recurrence.
+
+    For alpha > 0, P_k = C_k^alpha:
+        C_0 = 1,  C_1 = 2*alpha*t,
+        k C_k = 2(k+alpha-1) t C_{k-1} - (k+2*alpha-2) C_{k-2}.
+    For alpha = 0, P_k = T_k (T_1 = t, T_k = 2t T_{k-1} - T_{k-2}); multiply
+    by `renormalization(0, k)` to get the renormalized C_k^0.  t must be an
+    ndarray already in [-1, 1]; yielded arrays must not be modified.
+    """
+    prev = np.ones_like(t)
+    yield prev
+    if n == 0:
+        return
+    cur = t if alpha == 0.0 else 2.0 * alpha * t
+    yield cur
+    for k in range(2, n + 1):
+        if alpha == 0.0:
+            nxt = 2.0 * t * cur - prev
+        else:
+            nxt = (2.0 * (k + alpha - 1.0) * t * cur - (k + 2.0 * alpha - 2.0) * prev) / k
+        prev, cur = cur, nxt
+        yield cur
+
+
+def renormalization(alpha, k):
+    """Factor taking the k-th term of `gegenbauer_terms` to C_k^alpha.
+
+    2/k at alpha = 0 and k >= 1, where the term is T_k; 1 otherwise.
+    """
+    return 2.0 / k if alpha == 0.0 and k > 0 else 1.0
+
+
+def shift_factor(alpha, order):
+    """Constant c of the index shift d^r/dt^r C_k^alpha = c * C_{k-r}^{alpha+r}.
+
+    2*alpha for r = 1 and 4*alpha*(alpha+1) for r = 2; their alpha -> 0
+    limits under the renormalized convention are 2 and 4 (the derivatives
+    of (2/k) T_k are 2 C_{k-1}^1 and 4 C_{k-2}^2).
+    """
+    if order == 1:
+        return 2.0 * alpha if alpha > 0 else 2.0
+    return 4.0 * alpha * (alpha + 1.0) if alpha > 0 else 4.0
+
+
 def gegenbauer_eval(alpha, k, t):
     """Evaluate the Gegenbauer polynomial C_k^alpha at t in [-1, 1].
 
-    Uses the iterative three-term recurrence
-        C_0 = 1,  C_1 = 2*alpha*t,
-        k C_k = 2(k+alpha-1) t C_{k-1} - (k+2*alpha-2) C_{k-2}.
-    For alpha = 0 the renormalized limit (2/k) T_k(t) is returned (1 for
-    k = 0), which keeps the value at t = 1 nonzero.
-
+    The last term of `gegenbauer_terms`, renormalized at alpha = 0.
     Accepts scalar or ndarray t; returns the same shape.
     """
     _check_alpha(alpha)
     _check_degree(k)
-    t = _clamp(t)
+    t = clamp_unit(t)
     scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if alpha == 0.0:
-        out = _chebyshev_renormalized(k, t)
-    else:
-        out = _gegenbauer_recurrence(alpha, k, t)
+    for term in gegenbauer_terms(alpha, k, np.atleast_1d(t)):
+        pass
+    out = renormalization(alpha, k) * term
     return float(out[0]) if scalar else out
-
-
-def _gegenbauer_recurrence(alpha, k, t):
-    prev = np.ones_like(t)
-    if k == 0:
-        return prev
-    cur = 2.0 * alpha * t
-    for j in range(2, k + 1):
-        prev, cur = cur, (2.0 * (j + alpha - 1.0) * t * cur - (j + 2.0 * alpha - 2.0) * prev) / j
-    return cur
-
-
-def _chebyshev_renormalized(k, t):
-    prev = np.ones_like(t)
-    if k == 0:
-        return prev
-    cur = t.copy()
-    for _ in range(2, k + 1):
-        prev, cur = cur, 2.0 * t * cur - prev
-    return (2.0 / k) * cur
 
 
 def gegenbauer_at_one(alpha, k):
@@ -115,26 +138,16 @@ def gegenbauer_at_one_exact(alpha2, k):
 
 
 def gegenbauer_derivative(alpha, k, t, order=1):
-    """First or second derivative of C_k^alpha at t.
-
-    Uses the index-shift identities
-        d/dt   C_k^alpha = 2*alpha * C_{k-1}^{alpha+1}
-        d2/dt2 C_k^alpha = 4*alpha*(alpha+1) * C_{k-2}^{alpha+2}
-    whose alpha -> 0 limits under the renormalized convention are
-    2*C_{k-1}^1 and 4*C_{k-2}^2.
-    """
+    """First or second derivative of C_k^alpha at t, by the index shift
+    d^r/dt^r C_k^alpha = shift_factor(alpha, r) * C_{k-r}^{alpha+r}."""
     _check_alpha(alpha)
     _check_degree(k)
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
     if k < order:
-        t = _clamp(t)
+        t = clamp_unit(t)
         return 0.0 if t.ndim == 0 else np.zeros_like(t)
-    if order == 1:
-        factor = 2.0 * alpha if alpha > 0 else 2.0
-        return _scale(factor, gegenbauer_eval(alpha + 1.0, k - 1, t))
-    factor = 4.0 * alpha * (alpha + 1.0) if alpha > 0 else 4.0
-    return _scale(factor, gegenbauer_eval(alpha + 2.0, k - 2, t))
+    return _scale(shift_factor(alpha, order), gegenbauer_eval(alpha + order, k - order, t))
 
 
 def _scale(c, v):

@@ -21,15 +21,17 @@ import numpy as np
 from . import _ddarith as dd
 from .gegenbauer import (
     MAX_DEGREE,
+    clamp_unit,
     derivative_at_one_exact,
     gegenbauer_at_one_exact,
+    gegenbauer_terms,
     harmonic_dim,
+    renormalization,
+    shift_factor,
 )
 from .sphere import UNIT_TOL, TangentVector, UnitPoint, as_coords, off_sphere_rows
 
 ACHIEVED_ZERO = 1e-24
-
-_T_SLACK = 1e-12
 
 
 class KernelSpec:
@@ -119,55 +121,23 @@ def gp1_closed_form(d, n):
     return float(total)
 
 
-def _clamp_arg(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + _T_SLACK):
-        raise ValueError("kernel argument outside [-1, 1]")
-    return np.clip(t, -1.0, 1.0)
-
-
-def _series_positive(beta, coeffs, t):
-    """sum_j coeffs[j] * C_j^beta(t) by forward recurrence, beta > 0."""
-    acc = np.full_like(t, coeffs[0])
-    if len(coeffs) == 1:
-        return acc
-    prev = np.ones_like(t)
-    cur = 2.0 * beta * t
-    acc += coeffs[1] * cur
-    for j in range(2, len(coeffs)):
-        prev, cur = cur, (2.0 * (j + beta - 1.0) * t * cur - (j + 2.0 * beta - 2.0) * prev) / j
-        acc += coeffs[j] * cur
-    return acc
-
-
-def _series_chebyshev(coeffs, t):
-    """sum_k coeffs[k-1] * (2/k) T_k(t) for the circle kernel (alpha = 0)."""
-    prev = np.ones_like(t)
-    cur = t.copy()
-    acc = coeffs[0] * 2.0 * cur
-    for k in range(2, len(coeffs) + 1):
-        prev, cur = cur, 2.0 * t * cur - prev
-        acc += coeffs[k - 1] * (2.0 / k) * cur
-    return acc
-
-
 def _eval_shifted(spec, t, shift):
-    t = _clamp_arg(t)
+    """sum_k lam_k * d^shift/dt^shift C_k^alpha(t), via the index shift."""
+    t = clamp_unit(t)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     if spec.n < shift:
         out = np.zeros_like(t)
-    elif shift == 0:
-        if spec.alpha == 0.0:
-            out = _series_chebyshev(spec.lam, t)
-        else:
-            out = _series_positive(spec.alpha, np.concatenate([[0.0], spec.lam]), t)
     else:
-        if shift == 1:
-            fac = 2.0 * spec.alpha if spec.alpha > 0 else 2.0
+        alpha = spec.alpha + shift
+        if shift == 0:
+            coeffs = np.concatenate([[0.0], spec.lam])  # g has no degree-0 term
         else:
-            fac = 4.0 * spec.alpha * (spec.alpha + 1.0) if spec.alpha > 0 else 4.0
-        out = _series_positive(spec.alpha + shift, fac * spec.lam[shift - 1:], t)
+            coeffs = shift_factor(spec.alpha, shift) * spec.lam[shift - 1:]
+        terms = gegenbauer_terms(alpha, len(coeffs) - 1, t)
+        out = coeffs[0] * next(terms)
+        for k, term in enumerate(terms, 1):
+            out += coeffs[k] * renormalization(alpha, k) * term
     return float(out[0]) if scalar else out
 
 
@@ -280,22 +250,17 @@ def _dd_row_dots(A, B):
 
 
 def _gw_series_dd(spec, t):
-    one = np.ones_like(t[0])
-    if spec.d == 1:
-        prev = dd.dd(one)
-        cur = t
-        acc = dd.mul(cur, spec._lam_dd[0])
-        for k in range(2, spec.n + 1):
-            nxt = dd.sub(dd.mul_d(dd.mul(t, cur), 2.0), prev)
-            acc = dd.add(acc, dd.mul(nxt, spec._lam_dd[k - 1]))
-            prev, cur = cur, nxt
-        return acc
-    prev = dd.dd(one)
-    cur = dd.mul_d(t, float(spec.d - 1))
+    """g(t) in dd arithmetic; at d = 1 the recurrence runs on T_k and the 2/k
+    renormalization is folded into _lam_dd."""
+    prev = dd.dd(np.ones_like(t[0]))
+    cur = t if spec.d == 1 else dd.mul_d(t, float(spec.d - 1))
     acc = dd.mul(cur, spec._lam_dd[0])
     for k in range(2, spec.n + 1):
-        term = dd.mul(dd.mul(t, cur), spec._rec_a_dd[k - 2])
-        nxt = dd.sub(term, dd.mul(prev, spec._rec_b_dd[k - 2]))
+        if spec.d == 1:
+            nxt = dd.sub(dd.mul_d(dd.mul(t, cur), 2.0), prev)
+        else:
+            term = dd.mul(dd.mul(t, cur), spec._rec_a_dd[k - 2])
+            nxt = dd.sub(term, dd.mul(prev, spec._rec_b_dd[k - 2]))
         acc = dd.add(acc, dd.mul(nxt, spec._lam_dd[k - 1]))
         prev, cur = cur, nxt
     return acc
@@ -339,23 +304,10 @@ def energy_by_degree(config):
 
 def _degree_pair_sums(spec, t):
     """[sum over pairs of C_k(t)] for k = 1..n, one recurrence pass."""
-    sums = []
-    if spec.d == 1:
-        prev = np.ones_like(t)
-        cur = t.copy()
-        sums.append(2.0 * float(np.sum(cur)))
-        for k in range(2, spec.n + 1):
-            prev, cur = cur, 2.0 * t * cur - prev
-            sums.append((2.0 / k) * float(np.sum(cur)))
-        return sums
-    alpha = spec.alpha
-    prev = np.ones_like(t)
-    cur = 2.0 * alpha * t
-    sums.append(float(np.sum(cur)))
-    for k in range(2, spec.n + 1):
-        prev, cur = cur, (2.0 * (k + alpha - 1.0) * t * cur - (k + 2.0 * alpha - 2.0) * prev) / k
-        sums.append(float(np.sum(cur)))
-    return sums
+    terms = gegenbauer_terms(spec.alpha, spec.n, t)
+    next(terms)
+    return [renormalization(spec.alpha, k) * float(np.sum(term))
+            for k, term in enumerate(terms, 1)]
 
 
 def _gradient_raw(spec, X):

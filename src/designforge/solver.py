@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import (
-    ACHIEVED_ZERO,
     Configuration,
     _energy_dd_raw,
     _energy_raw,
@@ -59,7 +58,6 @@ class SolveReport:
     final_residual: float
     terminated: str
     initial_bound: float = None
-    mz_checked: bool = False
 
     def to_dict(self):
         return {
@@ -69,7 +67,6 @@ class SolveReport:
             "final_residual": self.final_residual,
             "terminated": self.terminated,
             "initial_bound": self.initial_bound,
-            "mz_checked": self.mz_checked,
         }
 
 
@@ -137,10 +134,6 @@ def descent_step(config, t):
     return config.with_coords(_geodesic_rows(config.coords, V, t))
 
 
-def _report_value(raw):
-    return 0.0 if raw < ACHIEVED_ZERO else raw
-
-
 def _tier_energy(spec, X, tier):
     return _energy_dd_raw(spec, X) if tier == "dd" else _energy_raw(spec, X)
 
@@ -150,6 +143,8 @@ def solve(spec, init, opts=None, initial_bound=None):
 
     Returns (Configuration, SolveReport); terminated is "converged" exactly
     when the final residual sqrt(energy) is at or below opts.tolerance.
+    The energy trace and final residual hold the energies as computed, not
+    clamped to 0 below the achieved-zero threshold.
     """
     opts = opts or SolveOptions()
     if init.spec is not spec and (init.spec.d != spec.d or init.spec.n != spec.n):
@@ -173,7 +168,7 @@ def solve(spec, init, opts=None, initial_bound=None):
         if step <= 0.0:
             raise ValueError("initial_step must be positive")
 
-    energy_trace = [_report_value(E)]
+    energy_trace = [E]
     step_trace = []
     iterations = 0
     stall = 0
@@ -221,7 +216,7 @@ def solve(spec, init, opts=None, initial_bound=None):
             tier = "dd"
             E = _energy_dd_raw(spec, X)
         step_trace.append(t)
-        energy_trace.append(_report_value(E))
+        energy_trace.append(E)
         relative_drop = (previous - E) / max(abs(previous), 1e-300)
         stall = 0 if relative_drop >= _STALL_RELATIVE else stall + 1
         if stall >= _STALL_LIMIT:
@@ -229,7 +224,7 @@ def solve(spec, init, opts=None, initial_bound=None):
             break
         step = t / opts.backtracking if first_try else t
 
-    final_residual = float(np.sqrt(max(_report_value(E), 0.0)))
+    final_residual = float(np.sqrt(max(E, 0.0)))
     report = SolveReport(
         iterations=iterations,
         energy_trace=energy_trace,

@@ -32,6 +32,7 @@ from .solver import initial_energy_bound
 
 MAX_MONOMIAL_DIM = 4
 MAX_MONOMIAL_DEGREE = 12
+MAX_MZ_DIM = 3
 
 
 def monomial_sphere_integral(exponents):
@@ -182,7 +183,7 @@ def quadrature_rings(d, min_nodes=1_000_000, min_longitudes=1):
                                  np.repeat(np.cos(theta), S)])
         return QuadratureRings(axial, sin_theta * np.tile(sub.radius, na),
                                np.repeat(w1, S) * np.tile(sub.weight, na), sub.L)
-    raise ValueError("reference quadrature unsupported for d > 3")
+    raise ValueError(f"reference quadrature unsupported for d > {MAX_MZ_DIM}")
 
 
 def _ring_points(rings, phi):

@@ -9,8 +9,10 @@ from designforge.gegenbauer import (
     gegenbauer_at_one_exact,
     gegenbauer_derivative,
     gegenbauer_eval,
+    gegenbauer_terms,
     harmonic_dim,
     orthogonality_residual,
+    renormalization,
 )
 
 
@@ -191,3 +193,20 @@ def test_orthogonality_closed_constants_match_brute_force():
 def test_orthogonality_grid_size_validation():
     with pytest.raises(ValueError):
         orthogonality_residual(0.5, 1, 1, grid_size=32)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.5, 4.5])
+def test_generator_matches_scipy(alpha):
+    # an oracle outside the package: scipy's C_k^alpha, and (2/k) T_k at alpha = 0
+    from scipy.special import eval_chebyt, eval_gegenbauer
+
+    t = np.concatenate([np.linspace(-1.0, 1.0, 201), [-0.999999, 0.123456789]])
+    for k, term in enumerate(gegenbauer_terms(alpha, 30, t)):
+        ours = renormalization(alpha, k) * term
+        if alpha == 0.0:
+            ref = eval_chebyt(k, t) * (2.0 / k if k else 1.0)
+        else:
+            ref = eval_gegenbauer(k, alpha, t)
+        scale = gegenbauer_at_one(alpha, k)
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * scale, (alpha, k)
+        assert np.array_equal(ours, gegenbauer_eval(alpha, k, t))

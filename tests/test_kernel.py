@@ -1,13 +1,17 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from designforge import _ddarith as dd
 from designforge.kernel import (
     Configuration,
     _energy_dd_raw,
     _energy_raw,
     _gradient_raw,
+    _gw_series_dd,
     design_residual,
     energy,
     energy_by_degree,
@@ -338,3 +342,37 @@ def test_dd_energy_matches_double_on_rough_configs():
 def test_dd_energy_resolves_below_float_noise():
     s = make_kernel(2, 2)
     assert abs(_energy_dd_raw(s, TETRA)) <= 1e-28
+
+
+def _explicit_gegenbauer(d, k, x):
+    """C_k^alpha(x) from its power sum in 2x with exact rational coefficients,
+    no recurrence: (2/k) T_k at d = 1 and U_k = C_k^1 at d = 3."""
+    total = mpmath.mpf(0)
+    for m in range(k // 2 + 1):
+        if d == 1:
+            c = Fraction(math.factorial(k - m - 1), math.factorial(m) * math.factorial(k - 2 * m))
+        else:
+            c = Fraction(math.comb(k - m, m))
+        total += (-1) ** m * mpmath.mpf(c.numerator) / c.denominator * (2 * x) ** (k - 2 * m)
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
+def test_dd_series_matches_mpmath(d, n):
+    # an oracle outside the package: the same series summed in 200-bit arithmetic
+    spec = make_kernel(d, n)
+    rng = np.random.default_rng(100 * d + n)
+    hi = np.concatenate([rng.uniform(-1.0, 1.0, 40), [-1.0, 0.0, 1.0]])
+    lo = hi * rng.uniform(-1.0, 1.0, hi.size) * 2.0**-54
+    t = dd.clip_unit(dd.quick_two_sum(hi, lo))
+    got_hi, got_lo = _gw_series_dd(spec, t)
+    with mpmath.workprec(200):
+        for i in range(hi.size):
+            x = mpmath.mpf(float(t[0][i])) + mpmath.mpf(float(t[1][i]))
+            terms = [mpmath.mpf(lam.numerator) / lam.denominator * _explicit_gegenbauer(d, k, x)
+                     for k, lam in enumerate(spec._lam_exact, 1)]
+            exact = mpmath.fsum(terms)
+            scale = mpmath.fsum(abs(v) for v in terms)
+            got = mpmath.mpf(float(got_hi[i])) + mpmath.mpf(float(got_lo[i]))
+            assert abs(got - exact) <= mpmath.mpf(1e-28) * scale, (i, float(got - exact))
