@@ -20,7 +20,14 @@ import numpy as np
 
 from . import __version__
 from .gegenbauer import MAX_DEGREE
-from .kernel import Configuration, design_residual, gw_d1, hessian_step_bound, make_kernel
+from .kernel import (
+    Configuration,
+    design_residual,
+    energy_rule_size,
+    gw_d1,
+    hessian_step_bound,
+    make_kernel,
+)
 from .solver import SolveOptions, initial_configuration, scaling_study, solve
 from .sphere import UNIT_TOL, Partition, eq_partition, off_sphere_rows
 from .verifier import (
@@ -143,16 +150,21 @@ def read_pointset(path):
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})")
+        if not isinstance(doc, dict):
+            raise DataFormatError(f"{path}: top level is not a JSON object")
         for key in ("d", "N", "points"):
             if key not in doc:
                 raise DataFormatError(f"{path}: missing field {key!r}")
-        d = int(doc["d"])
-        X = np.asarray(doc["points"], dtype=float)
+        d = _int_field(doc, "d", path)
+        try:
+            X = np.asarray(doc["points"], dtype=float)
+        except (TypeError, ValueError):
+            raise DataFormatError(f"{path}: points are not numeric")
         if X.ndim != 2 or X.shape[1] != d + 1:
             raise DataFormatError(f"{path}: points must be an N x {d + 1} matrix")
-        if X.shape[0] != int(doc["N"]):
+        if X.shape[0] != _int_field(doc, "N", path):
             raise DataFormatError(f"{path}: N={doc['N']} does not match {X.shape[0]} rows")
-        n = int(doc["n"]) if "n" in doc and doc["n"] is not None else None
+        n = _int_field(doc, "n", path) if doc.get("n") is not None else None
     bad = off_sphere_rows(X)
     if bad.size:
         row = int(bad[0])
@@ -162,6 +174,13 @@ def read_pointset(path):
             f"{path}: row {row + 1} is not a unit vector (|norm - 1| > {UNIT_TOL:g})"
         )
     return d, n, X
+
+
+def _int_field(doc, key, path):
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DataFormatError(f"{path}: field {key!r} is not a positive integer")
+    return value
 
 
 def _report_path(out_path):
@@ -240,10 +259,19 @@ def _check_strength(args, parser):
         parser.error(f"-n must be in 1..{MAX_DEGREE}")
 
 
+def _check_energy_rule(d, n_values, parser):
+    for n in n_values:
+        try:
+            energy_rule_size(d, n)
+        except ValueError as exc:
+            parser.error(str(exc))
+
+
 def cmd_generate(args, parser):
     if args.d < 1:
         parser.error("-d must be >= 1")
     _check_strength(args, parser)
+    _check_energy_rule(args.d, [args.n], parser)
     spec = make_kernel(args.d, args.n)
     opts = SolveOptions(max_iterations=args.max_iter, tolerance=args.tol, seed=args.seed)
 
@@ -335,6 +363,10 @@ def cmd_verify(args, parser):
         partition = _read_partition(args.mz)
         if partition.d != d:
             raise DataFormatError(f"{args.mz}: partition is on S^{partition.d}, points on S^{d}")
+        if partition.N != X.shape[0]:
+            raise DataFormatError(
+                f"{args.mz}: partition has {partition.N} regions, points {X.shape[0]}"
+            )
     passed, worst, witness = is_design(X, args.n, args.tol)
     spec = make_kernel(d, args.n)
     residual = design_residual(Configuration(spec, X))
@@ -414,6 +446,7 @@ def cmd_study(args, parser):
         parser.error("empty n range")
     if not all(1 <= n <= MAX_DEGREE for n in n_values):
         parser.error(f"--n values must be in 1..{MAX_DEGREE}")
+    _check_energy_rule(args.d, n_values, parser)
     try:
         rule = lambda n: eval_count_rule(args.N_rule, n)  # noqa: E731
         rule(n_values[0])

@@ -6,19 +6,22 @@ product routes through the scalar kernel profile
     g(t) = sum_k  dim_k / (w_k * C_k(1)) * C_k^alpha(t),   alpha = (d-1)/2,
 
 with Laplacian weights w_k = k (k + d - 1), so that the configuration
-energy |Phi|^2 = (1/N^2) sum_ij g(<x_i, x_j>) is an O(N^2) Gram sum in
-any dimension.  Energies are evaluated twice over: a fast float64 path,
-and a compensated double-double path used for certification and for the
-final stage of descent, where the plain path's rounding floor (~1e-17)
-would mask true energies near the 1e-24 achieved-zero threshold.
+energy is |Phi|^2 = (1/N^2) sum_ij g(<x_i, x_j>).  That Gram sum cancels
+O(1) terms down to the size of the energy, so the energy is evaluated in
+its variational form instead: a sum over degrees of squared norms of
+F_k(y) = (1/N) sum_i h_k(<x_i, y>), h_k = sqrt(w_k) lam_k C_k, taken from
+the values of F_k at the nodes of a product rule exact to degree 2n or, in
+high dimension, of a sampled rule (see `energy_rule_size`).  Every term is
+a nonnegative square, so one float64 path resolves energies far below the
+1e-24 achieved-zero threshold.  The gradient stays on the Gram form.
 """
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from . import _ddarith as dd
 from .gegenbauer import (
     MAX_DEGREE,
     clamp_unit,
@@ -29,9 +32,23 @@ from .gegenbauer import (
     renormalization,
     shift_factor,
 )
-from .sphere import UNIT_TOL, TangentVector, UnitPoint, as_coords, off_sphere_rows
+from .sphere import (
+    UNIT_TOL,
+    TangentVector,
+    UnitPoint,
+    as_coords,
+    off_sphere_rows,
+    sphere_quadrature_grid,
+)
 
 ACHIEVED_ZERO = 1e-24
+# node block size of `_degree_energies`: N * block stays near this many doubles
+_BLOCK_DOUBLES = 1 << 18
+# energy rule budgets (see `energy_rule_size`)
+_PRODUCT_PREFERENCE = 32
+_MAX_PRODUCT_NODES = 1 << 21
+_MAX_SAMPLED_NODES = 4096
+_SAMPLED_SEED = 0
 
 
 class KernelSpec:
@@ -45,8 +62,7 @@ class KernelSpec:
     __slots__ = (
         "d", "n", "alpha", "weights", "dims", "lam",
         "g1", "gp1", "gpp1",
-        "_lam_exact", "_g1_exact", "_gp1_exact", "_gpp1_exact",
-        "_lam_dd", "_g1_dd", "_rec_a_dd", "_rec_b_dd",
+        "_lam_exact",
     )
 
     def __init__(self, d, n):
@@ -75,29 +91,10 @@ class KernelSpec:
             gp1 += lam_k * derivative_at_one_exact(d, k, 1)
             gpp1 += lam_k * derivative_at_one_exact(d, k, 2)
         self._lam_exact = tuple(lam_exact)
-        self._g1_exact = g1
-        self._gp1_exact = gp1
-        self._gpp1_exact = gpp1
         self.lam = np.array([float(f) for f in lam_exact])
         self.g1 = float(g1)
         self.gp1 = float(gp1)
         self.gpp1 = float(gpp1)
-
-        # double-double mirrors for the compensated energy path
-        if d == 1:
-            scaled = [lam * Fraction(2, k) for lam, k in zip(lam_exact, range(1, n + 1))]
-            self._lam_dd = tuple(dd.from_fraction(f) for f in scaled)
-            self._rec_a_dd = None
-            self._rec_b_dd = None
-        else:
-            self._lam_dd = tuple(dd.from_fraction(f) for f in lam_exact)
-            self._rec_a_dd = tuple(
-                dd.from_fraction(Fraction(2 * k + d - 3, k)) for k in range(2, n + 1)
-            )
-            self._rec_b_dd = tuple(
-                dd.from_fraction(Fraction(k + d - 3, k)) for k in range(2, n + 1)
-            )
-        self._g1_dd = dd.from_fraction(g1)
 
     def __repr__(self):
         return f"KernelSpec(d={self.d}, n={self.n})"
@@ -166,7 +163,7 @@ def hessian_step_bound(spec):
 
 
 class Configuration:
-    """N points on S^d tied to a KernelSpec, with a cached Gram matrix."""
+    """N points on S^d tied to a KernelSpec."""
 
     def __init__(self, spec, points):
         self.spec = spec
@@ -179,7 +176,6 @@ class Configuration:
             raise ValueError(f"configuration points must be finite unit vectors ({UNIT_TOL:g})")
         self.coords = X / np.linalg.norm(X, axis=1)[:, None]
         self.coords.flags.writeable = False
-        self._gram = None
 
     @property
     def N(self):
@@ -189,81 +185,113 @@ class Configuration:
     def points(self):
         return [UnitPoint(row) for row in self.coords]
 
-    def gram(self):
-        if self._gram is None:
-            g = self.coords @ self.coords.T
-            np.clip(g, -1.0, 1.0, out=g)
-            g.flags.writeable = False
-            self._gram = g
-        return self._gram
-
     def with_coords(self, X):
         return Configuration(self.spec, X)
 
 
-def _pair_dots(X):
-    iu, ju = np.triu_indices(X.shape[0], 1)
-    t = np.einsum("ij,ij->i", X[iu], X[ju])
-    np.clip(t, -1.0, 1.0, out=t)
-    return t
+def energy_rule_size(d, n):
+    """Kind and node count of the rule `_degree_energies` uses on S^d.
+
+    The product rule, exact to degree 2n, has (n+1)^(d-1) (2n+1) nodes,
+    which grows exponentially in d.  The sampled rule needs only
+    2 dim H_n nodes, but an eigendecomposition per degree (O(M^3) once per
+    (d, n)), and it scales rounding by its sampling condition (about 6 at
+    2x oversampling); on S^d, d >= 2, it is used where it saves more than
+    _PRODUCT_PREFERENCE times the nodes.  Each energy call costs
+    nodes * N * n.  Raises ValueError when neither fits its budget.
+    """
+    product = (n + 1) ** (d - 1) * (2 * n + 1)
+    sampled = 2 * harmonic_dim(d, n)
+    if d >= 2 and product > _PRODUCT_PREFERENCE * sampled and sampled <= _MAX_SAMPLED_NODES:
+        return "sampled", sampled
+    if product <= _MAX_PRODUCT_NODES:
+        return "product", product
+    raise ValueError(
+        f"no energy rule for d={d}, n={n}: the product rule needs {product} nodes "
+        f"(at most {_MAX_PRODUCT_NODES}), the sampled rule {sampled} (at most "
+        f"{_MAX_SAMPLED_NODES})"
+    )
+
+
+@functools.lru_cache(maxsize=2)
+def _energy_rule(d, n):
+    """Nodes Y with product weights omega, or with per-degree maps B_k.
+
+    Product rule: `sphere_quadrature_grid(d, (n+1)**d, 2n+1)`, exact to
+    degree 2n, and maps is None.  Sampled rule: M = 2 dim H_n seeded random
+    nodes z_a; degree k uses the first M_k = 2 dim H_k of them.  The zonal
+    kernels C_k(<., z_a>) span H_k, so C_k(<x, x'>) = c_x^T G^+ c_x' for
+    c_x = (C_k(<x, z_a>))_a and G = (C_k(<z_a, z_b>))_ab, and B_k holds the
+    dim H_k leading eigenvectors of G scaled by lambda^(-1/2).  The kept
+    eigenvalues span a factor of at most 45 (measured for d = 2..20, k <= 100)
+    and the rest are below 1e-13 of the largest.
+    """
+    kind, size = energy_rule_size(d, n)
+    if kind == "product":
+        Y, omega = sphere_quadrature_grid(d, (n + 1) ** d, 2 * n + 1)
+        maps = None
+    else:
+        Y = np.random.default_rng(_SAMPLED_SEED).standard_normal((size, d + 1))
+        Y /= np.linalg.norm(Y, axis=1)[:, None]
+        omega = None
+        T = np.clip(Y @ Y.T, -1.0, 1.0)
+        maps = []
+        for k, C in enumerate(gegenbauer_terms((d - 1) / 2.0, n, T)):
+            if k == 0:
+                continue
+            h = harmonic_dim(d, k)
+            lam, U = np.linalg.eigh(C[:2 * h, :2 * h])
+            maps.append(U[:, -h:] / np.sqrt(lam[-h:]))
+    for a in (Y, omega, *(maps or ())):
+        if a is not None:
+            a.flags.writeable = False
+    return Y, omega, maps
+
+
+def _degree_energies(spec, X):
+    """Per-degree energies E_1..E_n of the rows of X, as sums of squares.
+
+    By the addition theorem, integral h_k(<x, y>) h_k(<x', y>) dy equals
+    lam_k C_k(<x, x'>) for h_k = sqrt(w_k) lam_k C_k, so
+    E_k = (1/N^2) sum_ij lam_k C_k(<x_i, x_j>) is the integral of F_k(y)^2
+    with F_k(y) = (1/N) sum_i h_k(<x_i, y>).  F_k^2 has degree 2k <= 2n, so
+    the product rule of `_energy_rule` integrates it exactly: E_k is the
+    weighted sum of omega_j F_k(y_j)^2.  On the sampled rule the same
+    values give E_k = |B_k^T F_k|^2 / (w_k lam_k).  Nodes are taken in
+    blocks so that the (N, block) recurrence arrays stay near
+    _BLOCK_DOUBLES doubles.
+    """
+    N = X.shape[0]
+    Y, omega, maps = _energy_rule(spec.d, spec.n)
+    coeffs = np.sqrt(spec.weights) * spec.lam / N
+    coeffs *= [renormalization(spec.alpha, k) for k in range(1, spec.n + 1)]
+    out = np.zeros(spec.n)
+    F = None if maps is None else np.empty((spec.n, Y.shape[0]))
+    block = max(1, _BLOCK_DOUBLES // N)
+    for start in range(0, Y.shape[0], block):
+        stop = start + block
+        terms = gegenbauer_terms(spec.alpha, spec.n, X @ Y[start:stop].T)
+        next(terms)
+        for k, term in enumerate(terms):
+            Fk = coeffs[k] * term.sum(axis=0)
+            if maps is None:
+                out[k] += omega[start:stop] @ (Fk * Fk)
+            else:
+                F[k, start:stop] = Fk
+    for k, B in enumerate(maps or ()):
+        v = B.T @ F[k, :B.shape[0]]
+        out[k] = (v @ v) / (spec.weights[k] * spec.lam[k])
+    return out
 
 
 def _energy_raw(spec, X):
-    """Float64 energy; exact compensated reduction of the pair terms."""
-    N = X.shape[0]
-    if N == 1:
-        return spec.g1
-    terms = gw_eval(spec, _pair_dots(X))
-    hi, lo = dd.pairwise_sum(terms)
-    total = (N * spec.g1 + 2.0 * hi) + 2.0 * lo
-    return total / (N * N)
+    """Design energy |Phi|^2 of the rows of X: the sum of the per-degree
+    energies, with no clamping."""
+    return float(np.sum(_degree_energies(spec, X)))
 
 
-def _energy_dd_raw(spec, X):
-    """Double-double energy of the exactly-renormalized directions.
-
-    Row norms, pair dots, and the Gegenbauer recurrence are all carried in
-    dd arithmetic, which moves the evaluation noise floor from ~1e-17 to
-    ~1e-32 and makes energies near ACHIEVED_ZERO trustworthy.
-    """
-    N = X.shape[0]
-    if N == 1:
-        return spec.g1
-    sq = _dd_row_dots(X, X)
-    inv = dd.div(dd.dd(np.ones(N)), dd.sqrt(sq))
-    iu, ju = np.triu_indices(N, 1)
-    t = _dd_row_dots(X[iu], X[ju])
-    t = dd.mul(t, dd.mul((inv[0][iu], inv[1][iu]), (inv[0][ju], inv[1][ju])))
-    t = dd.clip_unit(t)
-    acc = _gw_series_dd(spec, t)
-    off_hi, off_lo = dd.pairwise_sum_dd(acc)
-    total = dd.add(dd.mul_d(spec._g1_dd, float(N)), dd.mul_d((off_hi, off_lo), 2.0))
-    return (total[0] + total[1]) / (N * N)
-
-
-def _dd_row_dots(A, B):
-    acc = None
-    for c in range(A.shape[1]):
-        p = dd.two_prod(A[:, c], B[:, c])
-        acc = p if acc is None else dd.add(acc, p)
-    return acc
-
-
-def _gw_series_dd(spec, t):
-    """g(t) in dd arithmetic; at d = 1 the recurrence runs on T_k and the 2/k
-    renormalization is folded into _lam_dd."""
-    prev = dd.dd(np.ones_like(t[0]))
-    cur = t if spec.d == 1 else dd.mul_d(t, float(spec.d - 1))
-    acc = dd.mul(cur, spec._lam_dd[0])
-    for k in range(2, spec.n + 1):
-        if spec.d == 1:
-            nxt = dd.sub(dd.mul_d(dd.mul(t, cur), 2.0), prev)
-        else:
-            term = dd.mul(dd.mul(t, cur), spec._rec_a_dd[k - 2])
-            nxt = dd.sub(term, dd.mul(prev, spec._rec_b_dd[k - 2]))
-        acc = dd.add(acc, dd.mul(nxt, spec._lam_dd[k - 1]))
-        prev, cur = cur, nxt
-    return acc
+# perfbench/tracing.py wraps this name; an alias of the one energy, never called
+_energy_dd_raw = _energy_raw
 
 
 def _report_energy(raw):
@@ -274,40 +302,18 @@ def energy(config):
     """Design energy |Phi|^2 = (1/N^2) sum_ij g(<x_i, x_j>).
 
     Zero exactly at spherical designs; values below the achieved-zero
-    threshold 1e-24 are reported as 0.0 (float64 certifies no deeper).
+    threshold 1e-24 are reported as 0.0.
     """
     return _report_energy(_energy_raw(config.spec, config.coords))
 
 
-def energy_dd(config):
-    """Compensated (double-double) energy; certification-grade."""
-    return _report_energy(_energy_dd_raw(config.spec, config.coords))
-
-
 def energy_by_degree(config):
-    """Per-degree split E_k of the energy; each term is a squared norm.
+    """Per-degree split E_k of the energy, k = 1..n.
 
-    Entries are nonnegative up to rounding (-1e-12) and sum to energy().
+    Each entry is a weighted sum of squares, so it is nonnegative, and the
+    entries sum to the unclamped energy.
     """
-    spec = config.spec
-    X = config.coords
-    N = X.shape[0]
-    t = _pair_dots(X) if N > 1 else np.zeros(0)
-    sums = _degree_pair_sums(spec, t)
-    out = np.empty(spec.n)
-    for k in range(1, spec.n + 1):
-        lam_k = spec.lam[k - 1]
-        c_one = float(gegenbauer_at_one_exact(spec.d - 1, k))
-        out[k - 1] = lam_k * (N * c_one + 2.0 * sums[k - 1]) / (N * N)
-    return out
-
-
-def _degree_pair_sums(spec, t):
-    """[sum over pairs of C_k(t)] for k = 1..n, one recurrence pass."""
-    terms = gegenbauer_terms(spec.alpha, spec.n, t)
-    next(terms)
-    return [renormalization(spec.alpha, k) * float(np.sum(term))
-            for k, term in enumerate(terms, 1)]
+    return _degree_energies(config.spec, config.coords)
 
 
 def _gradient_raw(spec, X):
@@ -333,12 +339,12 @@ def energy_gradient(config):
 
 
 def design_residual(config):
-    """Certification residual |Phi| = sqrt(max(energy, 0)).
+    """Certification residual |Phi| = sqrt(energy), unclamped.
 
-    Uses the compensated energy path; bounds the equal-weight quadrature
-    error |mean Q - integral Q| by residual * |Q| for kernel-space Q.
+    Bounds the equal-weight quadrature error |mean Q - integral Q| by
+    residual * |Q| for kernel-space Q.
     """
-    return math.sqrt(max(_energy_dd_raw(config.spec, config.coords), 0.0))
+    return math.sqrt(_energy_raw(config.spec, config.coords))
 
 
 def kernel_poly_eval(spec, centers, coeffs, y):

@@ -9,9 +9,10 @@ analytic upper bounds (tight for caps and full bands).
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, betaincinv, gammaln
+from scipy.special import betainc, betaincinv, gammaln, roots_gegenbauer
 
 UNIT_TOL = 1e-12
 _TANGENT_TOL = 1e-10
@@ -175,6 +176,69 @@ def cap_colatitude(d, fraction):
 def sphere_surface_area(d):
     """Unnormalized surface measure of S^d."""
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.exp(gammaln((d + 1) / 2.0))
+
+
+# -- product quadrature ----
+
+class QuadratureRings(NamedTuple):
+    """A product quadrature rule on S^d, stored ring by ring.
+
+    Ring r holds the L nodes (radius[r] cos phi_j, radius[r] sin phi_j,
+    *axial[r]) at the half-step longitudes phi_j = (j + 1/2) 2 pi / L,
+    each of weight weight[r].  Expanded with longitude innermost, the rings
+    give the nodes of `sphere_quadrature_grid` in its order.
+    """
+
+    axial: np.ndarray   # (R, d - 1) coordinates 2..d of each ring
+    radius: np.ndarray  # (R,) radius of each ring in the (x0, x1) plane
+    weight: np.ndarray  # (R,) weight of each node on the ring
+    L: int              # longitudes per ring
+
+
+def quadrature_rings(d, min_nodes=1_000_000, min_longitudes=1):
+    """Ring form of the product rule on S^d; the weights sum to 1.
+
+    On S^1: L = max(min_nodes, min_longitudes) equispaced longitudes.  On
+    S^d, d >= 2: the last coordinate t runs over the na Gauss-Gegenbauer
+    nodes of the weight (1 - t^2)^((d-2)/2), na the least integer with
+    na^d >= min_nodes, and each carries the S^(d-1) rule for na^(d-1) nodes
+    scaled by sqrt(1 - t^2).  The rule integrates every polynomial of degree
+    <= min(2 na - 1, L - 1) exactly.
+    """
+    if d == 1:
+        L = max(int(min_nodes), min_longitudes)
+        return QuadratureRings(np.empty((1, 0)), np.ones(1), np.full(1, 1.0 / L), L)
+    na = max(2, round(min_nodes ** (1.0 / d)))
+    na += na**d < min_nodes
+    t, wt = roots_gegenbauer(na, (d - 1) / 2.0)
+    sub = quadrature_rings(d - 1, na ** (d - 1), min_longitudes)
+    S = sub.radius.size
+    s = np.repeat(np.sqrt(1.0 - t * t), S)
+    axial = np.column_stack([s[:, None] * np.tile(sub.axial, (na, 1)), np.repeat(t, S)])
+    weight = np.repeat(wt / wt.sum(), S) * np.tile(sub.weight, na)
+    return QuadratureRings(axial, s * np.tile(sub.radius, na), weight, sub.L)
+
+
+def _ring_points(rings, phi):
+    """Nodes at longitudes phi on every ring, ring-major: (R * len(phi), d+1)."""
+    R = rings.radius.size
+    Y = np.empty((R, phi.size, rings.axial.shape[1] + 2))
+    Y[:, :, 0] = np.outer(rings.radius, np.cos(phi))
+    Y[:, :, 1] = np.outer(rings.radius, np.sin(phi))
+    Y[:, :, 2:] = rings.axial[:, None, :]
+    return Y.reshape(R * phi.size, -1)
+
+
+def sphere_quadrature_grid(d, min_nodes=1_000_000, min_longitudes=1):
+    """Product quadrature grid on S^d: (points, weights).
+
+    The expansion of `quadrature_rings(d, min_nodes, min_longitudes)`,
+    longitude innermost.  `sphere_quadrature_grid(d, (n+1)**d, 2n+1)` is
+    exact for every polynomial of degree <= 2n.
+    """
+    rings = quadrature_rings(d, min_nodes, min_longitudes)
+    phi = (np.arange(rings.L) + 0.5) * (2.0 * math.pi / rings.L)
+    return _ring_points(rings, phi), np.repeat(rings.weight, rings.L)
 
 
 # -- regions and partitions ----

@@ -142,3 +142,63 @@ def test_study_out_of_range_strength_is_a_usage_error(tmp_path, capsys):
 def test_no_subcommand_offers_threads(command, capsys):
     assert cli.main([command, "--help"]) == cli.EXIT_OK
     assert "--threads" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", [
+    "5",
+    '{"d": 1, "N": 1, "points": "ab"}',
+    '{"d": 2, "N": 1, "points": [["a", 0, 1]]}',
+    '{"d": "x", "N": 1, "points": [[0, 0, 1]]}',
+    '{"d": 2, "N": "z", "points": [[0, 0, 1]]}',
+    '{"d": 2, "N": 1, "n": "q", "points": [[0, 0, 1]]}',
+    '{"d": 0, "N": 1, "points": [[1]]}',
+    '{"d": 1.5, "N": 1, "points": [[0, 1]]}',
+], ids=["top-level-number", "points-text", "points-entry", "d", "N", "n", "d-zero", "d-fraction"])
+def test_verify_malformed_point_file_is_a_data_error(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    err = _verify_rejected(["verify", str(path), "-n", "2"], capsys, cli.EXIT_DATA)
+    assert "data error" in err
+
+
+def test_verify_mz_partition_with_another_region_count_is_a_data_error(tmp_path, capsys):
+    # the sampling inequality is about one point per region of that partition
+    points = _write_json(tmp_path / "poly12.json", _polygon(12))
+    part = _write_partition(tmp_path / "p3.json", 1, 3)
+    err = _verify_rejected(["verify", points, "-n", "5", "--mz", part], capsys, cli.EXIT_DATA)
+    assert "partition has 3 regions, points 12" in err
+
+
+def test_generate_that_used_to_stall_converges(tmp_path, capsys):
+    # with the Gram energy this solve stalled at residual 1.5e-7 (exit 2)
+    out = tmp_path / "d2n6N30.json"
+    argv = ["generate", "-d", "2", "-n", "6", "-N", "30", "--seed", "2", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["solve"]["terminated"] == "converged"
+    assert doc["verification"]["pass"] is True
+    assert doc["verification"]["mz"]["pass"] is True
+
+
+def test_generate_in_high_dimension_converges(tmp_path, capsys):
+    # the product rule would need 4**7 * 7 = 114 688 nodes; the sampled rule has 312
+    out = tmp_path / "d8n3.json"
+    argv = ["generate", "-d", "8", "-n", "3", "-N", "auto", "--seed", "1", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["solve"]["terminated"] == "converged"
+    assert 0.0 < doc["verification"]["residual"] <= 1e-12
+    assert doc["verification"]["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "-d", "12", "-n", "5", "-N", "auto", "-o", "unused.json"],
+    ["study", "-d", "7", "--n", "6..7", "--N-rule", "2*(n+1)^2", "-o", "unused.json"],
+])
+def test_oversized_energy_rule_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "no energy rule for d=" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "unused.json").exists()

@@ -5,15 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from designforge import _ddarith as dd
 from designforge.kernel import (
     Configuration,
-    _energy_dd_raw,
     _energy_raw,
     _gradient_raw,
-    _gw_series_dd,
     design_residual,
     energy,
+    energy_rule_size,
     energy_by_degree,
     energy_gradient,
     gp1_closed_form,
@@ -25,8 +23,19 @@ from designforge.kernel import (
     kernel_poly_norm,
     make_kernel,
 )
+from designforge.solver import solve
 from designforge.sphere import geodesic_step, random_point, tangent_project
 from designforge.verifier import sphere_quadrature_grid
+from exact_designs import (
+    cross_polytope,
+    e8_roots,
+    icosahedron,
+    octahedron,
+    polygon,
+    six_hundred_cell,
+    twenty_four_cell,
+    unit_rows,
+)
 
 TETRA = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
@@ -321,58 +330,115 @@ def test_configuration_validation_and_cache():
     s = make_kernel(2, 2)
     with pytest.raises(ValueError):
         Configuration(s, np.array([[1.0, 1.0, 0.0]]))
-    c = Configuration(s, TETRA)
-    g = c.gram()
-    assert g is c.gram()
-    assert np.allclose(g, np.clip(c.coords @ c.coords.T, -1, 1))
-    moved = c.with_coords(np.roll(c.coords, 1, axis=0))
-    assert moved._gram is None
-
-
-def test_dd_energy_matches_double_on_rough_configs():
-    for seed in range(10):
-        d = 1 + seed % 3
-        s = make_kernel(d, 3)
-        c = _random_config(s, 10, 200 + seed)
-        e_fast = _energy_raw(s, c.coords)
-        e_dd = _energy_dd_raw(s, c.coords)
-        assert e_fast == pytest.approx(e_dd, rel=1e-12)
-
-
-def test_dd_energy_resolves_below_float_noise():
-    s = make_kernel(2, 2)
-    assert abs(_energy_dd_raw(s, TETRA)) <= 1e-28
 
 
 def _explicit_gegenbauer(d, k, x):
-    """C_k^alpha(x) from its power sum in 2x with exact rational coefficients,
-    no recurrence: (2/k) T_k at d = 1 and U_k = C_k^1 at d = 3."""
+    """C_k^alpha(x), alpha = (d-1)/2, from its power sum in 2x with exact
+    rational coefficients, no recurrence; the renormalized (2/k) T_k at d = 1:
+    sum_m (-1)^m (alpha)_(k-m) / (m! (k-2m)!) (2x)^(k-2m)."""
     total = mpmath.mpf(0)
     for m in range(k // 2 + 1):
         if d == 1:
             c = Fraction(math.factorial(k - m - 1), math.factorial(m) * math.factorial(k - 2 * m))
         else:
-            c = Fraction(math.comb(k - m, m))
+            rising = math.prod(Fraction(d - 1, 2) + j for j in range(k - m))
+            c = rising / (math.factorial(m) * math.factorial(k - 2 * m))
         total += (-1) ** m * mpmath.mpf(c.numerator) / c.denominator * (2 * x) ** (k - 2 * m)
     return total
 
 
-@pytest.mark.parametrize("d", [1, 3])
-@pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
-def test_dd_series_matches_mpmath(d, n):
-    # an oracle outside the package: the same series summed in 200-bit arithmetic
-    spec = make_kernel(d, n)
-    rng = np.random.default_rng(100 * d + n)
-    hi = np.concatenate([rng.uniform(-1.0, 1.0, 40), [-1.0, 0.0, 1.0]])
-    lo = hi * rng.uniform(-1.0, 1.0, hi.size) * 2.0**-54
-    t = dd.clip_unit(dd.quick_two_sum(hi, lo))
-    got_hi, got_lo = _gw_series_dd(spec, t)
+def _mpmath_gram_energy(spec, X):
+    """(1/N^2) sum_ij g(<x_i, x_j>) in 200-bit arithmetic, rows renormalized."""
     with mpmath.workprec(200):
-        for i in range(hi.size):
-            x = mpmath.mpf(float(t[0][i])) + mpmath.mpf(float(t[1][i]))
-            terms = [mpmath.mpf(lam.numerator) / lam.denominator * _explicit_gegenbauer(d, k, x)
-                     for k, lam in enumerate(spec._lam_exact, 1)]
-            exact = mpmath.fsum(terms)
-            scale = mpmath.fsum(abs(v) for v in terms)
-            got = mpmath.mpf(float(got_hi[i])) + mpmath.mpf(float(got_lo[i]))
-            assert abs(got - exact) <= mpmath.mpf(1e-28) * scale, (i, float(got - exact))
+        P = [[mpmath.mpf(float(v)) for v in row] for row in X]
+        P = [[v / mpmath.sqrt(mpmath.fsum(u * u for u in row)) for v in row] for row in P]
+        lam = [mpmath.mpf(f.numerator) / f.denominator for f in spec._lam_exact]
+
+        def g(t):
+            return mpmath.fsum(lam_k * _explicit_gegenbauer(spec.d, k, t)
+                               for k, lam_k in enumerate(lam, 1))
+
+        N = len(P)
+        off = mpmath.fsum(g(mpmath.fsum(a * b for a, b in zip(P[i], P[j])))
+                          for i in range(N) for j in range(i + 1, N))
+        return (N * g(mpmath.mpf(1)) + 2 * off) / N**2
+
+
+# a float64 error dF in F_k enters E through 2 F_k dF, so beside the
+# relative bound the energy may differ by about eps * sqrt(E)
+def _assert_matches_oracle(got, exact):
+    slack = 1e-13 * exact + 1e-15 * mpmath.sqrt(exact) + mpmath.mpf(1e-30)
+    assert abs(mpmath.mpf(got) - exact) <= slack, (got, float(exact))
+
+
+# d = 5 at n = 6 and d = 6 at n = 3, 6 run on the sampled rule
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_energy_matches_mpmath_gram_sum_on_random_configs(d, n):
+    spec = make_kernel(d, n)
+    for N in (1, 2, 13):
+        c = _random_config(spec, N, 10 * d + n + N)
+        _assert_matches_oracle(_energy_raw(spec, c.coords), _mpmath_gram_energy(spec, c.coords))
+
+
+@pytest.mark.parametrize("design,n", [
+    (lambda: polygon(12), 6),
+    (icosahedron, 5),
+    (twenty_four_cell, 5),
+    (lambda: cross_polytope(4), 3),
+    (lambda: cross_polytope(8), 3),
+    (lambda: cross_polytope(12), 2),
+])
+def test_energy_matches_mpmath_gram_sum_near_designs(design, n):
+    X = design()
+    spec = make_kernel(X.shape[1] - 1, n)
+    rng = np.random.default_rng(n)
+    for scale in (1e-10, 1e-6):
+        Y = unit_rows(X + scale * rng.standard_normal(X.shape))
+        exact = _mpmath_gram_energy(spec, Y)
+        assert 1e-24 < exact < 1e-8
+        _assert_matches_oracle(_energy_raw(spec, Y), exact)
+
+
+def test_energy_rule_size():
+    # the product rule wherever d <= 3 and n <= 30, so those energies are exact sums
+    for d in (1, 2, 3):
+        for n in range(1, 31):
+            assert energy_rule_size(d, n) == ("product", (n + 1) ** (d - 1) * (2 * n + 1))
+    assert energy_rule_size(1, 200) == ("product", 401)
+    # the product rule would need 4**11 * 7 = 29 360 128 nodes here
+    assert energy_rule_size(12, 3) == ("sampled", 884)
+    assert energy_rule_size(8, 3) == ("sampled", 312)
+    for d, n in [(7, 7), (12, 5)]:
+        with pytest.raises(ValueError, match="no energy rule"):
+            energy_rule_size(d, n)
+
+
+def test_e8_roots_have_zero_energy_on_the_sampled_rule():
+    X = e8_roots()
+    assert energy_rule_size(7, 5)[0] == "sampled"
+    assert 0.0 <= _energy_raw(make_kernel(7, 5), X) <= 1e-28
+    assert np.all(energy_by_degree(Configuration(make_kernel(7, 5), X)) <= 1e-28)
+
+
+EXACT_DESIGNS = [
+    (lambda: polygon(12), 11),
+    (octahedron, 3),
+    (icosahedron, 5),
+    (six_hundred_cell, 11),
+    (lambda: cross_polytope(4), 3),
+    (lambda: cross_polytope(5), 3),
+    (lambda: cross_polytope(8), 3),
+]
+
+
+@pytest.mark.parametrize("design,strength", EXACT_DESIGNS)
+def test_exact_designs_have_zero_energy_and_are_solver_fixed_points(design, strength):
+    X = design()
+    d = X.shape[1] - 1
+    spec = make_kernel(d, strength)
+    assert 0.0 <= _energy_raw(spec, X) <= 1e-28
+    assert _energy_raw(make_kernel(d, strength + 1), X) > 1e-6
+    final, report = solve(spec, Configuration(spec, X))
+    assert report.terminated == "converged" and report.iterations == 0
+    assert np.array_equal(final.coords, Configuration(spec, X).coords)

@@ -1,7 +1,6 @@
 """Tests of the independent certification routes: monomial averages,
 exact designs, and the ring-resampled Marcinkiewicz-Zygmund check."""
 
-import itertools
 import json
 
 import numpy as np
@@ -19,50 +18,7 @@ from designforge.verifier import (
     ring_values,
     sphere_quadrature_grid,
 )
-
-PHI = (1.0 + 5.0**0.5) / 2.0
-
-
-def _unit_rows(rows):
-    X = np.array(rows, dtype=float)
-    return X / np.linalg.norm(X, axis=1)[:, None]
-
-
-def polygon(N):
-    """Regular N-gon on S^1: an (N-1)-design."""
-    phi = 2.0 * np.pi * np.arange(N) / N + 0.3
-    return np.column_stack([np.cos(phi), np.sin(phi)])
-
-
-def octahedron():
-    """Cross-polytope on S^2: a 3-design."""
-    return np.vstack([np.eye(3), -np.eye(3)])
-
-
-def icosahedron():
-    """The 12 vertices of the icosahedron: a 5-design on S^2."""
-    rows = []
-    for s1, s2 in itertools.product((-1.0, 1.0), (-PHI, PHI)):
-        base = (0.0, s1, s2)
-        rows.extend(base[k:] + base[:k] for k in range(3))
-    return _unit_rows(rows)
-
-
-def six_hundred_cell():
-    """The 120 vertices of the 600-cell: an 11-design on S^3."""
-    rows = [list(v) for v in np.vstack([np.eye(4), -np.eye(4)])]
-    rows.extend(itertools.product((-0.5, 0.5), repeat=4))
-    base = (PHI / 2.0, 0.5, 0.5 / PHI, 0.0)
-    for perm in itertools.permutations(range(4)):
-        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
-        if inversions % 2:
-            continue
-        for signs in itertools.product((-1.0, 1.0), repeat=3):
-            v = [0.0] * 4
-            for slot, value, sign in zip(perm, base, signs):
-                v[slot] = sign * value
-            rows.append(v)
-    return _unit_rows(rows)
+from exact_designs import icosahedron, octahedron, polygon, six_hundred_cell, unit_rows
 
 
 def _trial(d, m, kind, seed):
@@ -138,7 +94,7 @@ def _full_grid_ratios(X, m, trials, seed, min_nodes):
 
 @pytest.mark.parametrize("d,min_nodes,m", [(1, 20_000, 8), (2, 40_000, 6), (3, 64_000, 4)])
 def test_mz_ratios_match_full_grid_reference(d, min_nodes, m):
-    X = _unit_rows(np.random.default_rng(5).standard_normal((30, d + 1)))
+    X = unit_rows(np.random.default_rng(5).standard_normal((30, d + 1)))
     report = mz_check(X, None, m, trials=6, seed=3, min_nodes=min_nodes)
     lo, hi = _full_grid_ratios(X, m, 6, 3, min_nodes)
     assert report.min_ratio == pytest.approx(lo, rel=1e-12)
@@ -196,12 +152,30 @@ def test_monomial_sphere_integral_closed_forms(exponents, value):
     assert monomial_sphere_integral(exponents) == pytest.approx(value, rel=1e-15)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+def _monomial_integrals(pts, w, max_degree):
+    """(exponents, quadrature of x^a) for every a of degree 1..max_degree."""
+    powers = [np.stack([pts[:, c] ** e for e in range(max_degree + 1)])
+              for c in range(pts.shape[1])]
+    for a in monomial_exponents(pts.shape[1] - 1, max_degree):
+        vals = w.copy()
+        for c, e in enumerate(a):
+            if e:
+                vals *= powers[c][e]
+        yield a, float(np.sum(vals))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_monomial_sphere_integral_against_quadrature(d):
-    pts, w = sphere_quadrature_grid(d, 20_000)
-    for a in monomial_exponents(d, 6):
-        numeric = float(w @ np.prod(pts ** np.array(a), axis=1))
-        assert numeric == pytest.approx(monomial_sphere_integral(a), abs=1e-13)
+    if d <= 3:
+        pts, w = sphere_quadrature_grid(d, 20_000)
+        for a in monomial_exponents(d, 6):
+            numeric = float(w @ np.prod(pts ** np.array(a), axis=1))
+            assert numeric == pytest.approx(monomial_sphere_integral(a), abs=1e-13)
+    # the rule the kernel energy integrates on is exact to degree 2n
+    for n in range(1, 7):
+        pts, w = sphere_quadrature_grid(d, (n + 1) ** d, 2 * n + 1)
+        for a, numeric in _monomial_integrals(pts, w, 2 * n):
+            assert abs(numeric - monomial_sphere_integral(a)) <= 1e-14, (n, a)
 
 
 def test_monomial_sphere_integral_rejects_bad_exponents():
