@@ -143,6 +143,8 @@ def read_pointset(path):
         if len(widths) != 1:
             raise DataFormatError(f"{path}: inconsistent row lengths {sorted(widths)}")
         X = np.array(points)
+        if X.shape[1] < 2:
+            raise DataFormatError(f"{path}: rows need at least 2 coordinates")
         d = X.shape[1] - 1
         n = None
     else:
@@ -248,11 +250,6 @@ def _parse_n_range(text):
 
 
 # -- subcommands ----
-
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    sub.add_argument("--verbose", action="store_true", help="log progress to stderr")
-
 
 def _check_strength(args, parser):
     if not 1 <= args.n <= MAX_DEGREE:
@@ -447,13 +444,14 @@ def cmd_study(args, parser):
     if not all(1 <= n <= MAX_DEGREE for n in n_values):
         parser.error(f"--n values must be in 1..{MAX_DEGREE}")
     _check_energy_rule(args.d, n_values, parser)
-    try:
-        rule = lambda n: eval_count_rule(args.N_rule, n)  # noqa: E731
-        rule(n_values[0])
-    except ValueError as exc:
-        parser.error(str(exc))
+    counts = {}
+    for n in n_values:
+        try:
+            counts[n] = eval_count_rule(args.N_rule, n)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            parser.error(f"--N-rule at n={n}: {exc}")
     opts = SolveOptions(max_iterations=args.max_iter, tolerance=args.tol, seed=args.seed)
-    rows = scaling_study(args.d, n_values, rule, opts, seed=args.seed)
+    rows = scaling_study(args.d, n_values, lambda n: counts[n], opts, seed=args.seed)
     header = "d,n,N,converged,residual,iterations,seconds"
     lines = [header]
     for r in rows:
@@ -496,7 +494,8 @@ def build_parser():
     g.add_argument("-o", "--out", required=True, help="output point-set path (.json/.csv)")
     g.add_argument("--no-timestamp", action="store_true",
                    help="omit the timestamp for byte-identical reruns")
-    _add_common(g)
+    g.add_argument("--verbose", action="store_true", help="log progress to stderr")
+    g.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     g.set_defaults(handler=cmd_generate)
 
     v = sub.add_parser("verify", help="certify a point-set file")
@@ -505,20 +504,18 @@ def build_parser():
     v.add_argument("--tol", type=float, default=1e-9, help="monomial deviation tolerance")
     v.add_argument("--mz", default=None, help="partition JSON for the sampling-ratio check")
     v.add_argument("--mz-trials", type=int, default=100)
-    _add_common(v)
+    v.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     v.set_defaults(handler=cmd_verify)
 
     k = sub.add_parser("kernel-info", help="print kernel coefficients and constants")
     k.add_argument("-d", type=int, required=True)
     k.add_argument("-n", type=int, required=True)
-    _add_common(k)
     k.set_defaults(handler=cmd_kernel_info)
 
     p = sub.add_parser("partition", help="build an equal-area partition")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("-N", type=int, required=True)
     p.add_argument("-o", "--out", default=None, help="partition JSON path")
-    _add_common(p)
     p.set_defaults(handler=cmd_partition)
 
     s = sub.add_parser("study", help="scaling study over a strength range")
@@ -529,7 +526,7 @@ def build_parser():
     s.add_argument("-o", "--out", required=True, help="study CSV path")
     s.add_argument("--tol", type=float, default=1e-12)
     s.add_argument("--max-iter", type=int, default=100_000)
-    _add_common(s)
+    s.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     s.set_defaults(handler=cmd_study)
     return parser
 

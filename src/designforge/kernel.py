@@ -1,19 +1,18 @@
 """Zonal reproducing-kernel machinery for spherical design energies.
 
-The degree-k harmonic components are never materialized: every inner
-product routes through the scalar kernel profile
+The configuration energy is |Phi|^2 = (1/N^2) sum_ij g(<x_i, x_j>) for the
+kernel profile
 
     g(t) = sum_k  dim_k / (w_k * C_k(1)) * C_k^alpha(t),   alpha = (d-1)/2,
 
-with Laplacian weights w_k = k (k + d - 1), so that the configuration
-energy is |Phi|^2 = (1/N^2) sum_ij g(<x_i, x_j>).  That Gram sum cancels
-O(1) terms down to the size of the energy, so the energy is evaluated in
-its variational form instead: a sum over degrees of squared norms of
-F_k(y) = (1/N) sum_i h_k(<x_i, y>), h_k = sqrt(w_k) lam_k C_k, taken from
-the values of F_k at the nodes of a product rule exact to degree 2n or, in
-high dimension, of a sampled rule (see `energy_rule_size`).  Every term is
-a nonnegative square, so one float64 path resolves energies far below the
-1e-24 achieved-zero threshold.  The gradient stays on the Gram form.
+with Laplacian weights w_k = k (k + d - 1).  That Gram sum cancels O(1)
+terms down to the size of the energy, so the energy and its gradient are
+taken from its variational form instead: per degree, the squared norm of
+F_k(y) = (1/N) sum_i h_k(<x_i, y>), h_k = sqrt(w_k) lam_k C_k, read off the
+values of F_k at the M nodes of one zonal-span rule on every sphere (see
+`_energy_rule`).  Every term is a nonnegative square, so one float64 path
+resolves energies far below the 1e-24 achieved-zero threshold; a call costs
+O(N M n) time and O(N) memory, and no (N, N) array is formed.
 """
 
 import functools
@@ -38,15 +37,12 @@ from .sphere import (
     UnitPoint,
     as_coords,
     off_sphere_rows,
-    sphere_quadrature_grid,
 )
 
 ACHIEVED_ZERO = 1e-24
-# node block size of `_degree_energies`: N * block stays near this many doubles
+# node block size of the field passes: N * block stays near this many doubles
 _BLOCK_DOUBLES = 1 << 18
-# energy rule budgets (see `energy_rule_size`)
-_PRODUCT_PREFERENCE = 32
-_MAX_PRODUCT_NODES = 1 << 21
+# node budget of the zonal-span rule (see `energy_rule_size`)
 _MAX_SAMPLED_NODES = 4096
 _SAMPLED_SEED = 0
 
@@ -190,62 +186,68 @@ class Configuration:
 
 
 def energy_rule_size(d, n):
-    """Kind and node count of the rule `_degree_energies` uses on S^d.
+    """Node count M = 2 dim H_n of the zonal-span rule on S^d.
 
-    The product rule, exact to degree 2n, has (n+1)^(d-1) (2n+1) nodes,
-    which grows exponentially in d.  The sampled rule needs only
-    2 dim H_n nodes, but an eigendecomposition per degree (O(M^3) once per
-    (d, n)), and it scales rounding by its sampling condition (about 6 at
-    2x oversampling); on S^d, d >= 2, it is used where it saves more than
-    _PRODUCT_PREFERENCE times the nodes.  Each energy call costs
-    nodes * N * n.  Raises ValueError when neither fits its budget.
+    Each energy or gradient call costs M * N * n; building the rule costs
+    one eigendecomposition per degree, O(M^3) once per (d, n).  Raises
+    ValueError above _MAX_SAMPLED_NODES.
     """
-    product = (n + 1) ** (d - 1) * (2 * n + 1)
-    sampled = 2 * harmonic_dim(d, n)
-    if d >= 2 and product > _PRODUCT_PREFERENCE * sampled and sampled <= _MAX_SAMPLED_NODES:
-        return "sampled", sampled
-    if product <= _MAX_PRODUCT_NODES:
-        return "product", product
-    raise ValueError(
-        f"no energy rule for d={d}, n={n}: the product rule needs {product} nodes "
-        f"(at most {_MAX_PRODUCT_NODES}), the sampled rule {sampled} (at most "
-        f"{_MAX_SAMPLED_NODES})"
-    )
+    size = 2 * harmonic_dim(d, n)
+    if size > _MAX_SAMPLED_NODES:
+        raise ValueError(
+            f"no energy rule for d={d}, n={n}: the zonal-span rule needs {size} "
+            f"nodes (at most {_MAX_SAMPLED_NODES})"
+        )
+    return size
 
 
 @functools.lru_cache(maxsize=2)
 def _energy_rule(d, n):
-    """Nodes Y with product weights omega, or with per-degree maps B_k.
+    """Seeded nodes Z and per-degree maps B_1..B_n of the zonal-span rule.
 
-    Product rule: `sphere_quadrature_grid(d, (n+1)**d, 2n+1)`, exact to
-    degree 2n, and maps is None.  Sampled rule: M = 2 dim H_n seeded random
-    nodes z_a; degree k uses the first M_k = 2 dim H_k of them.  The zonal
-    kernels C_k(<., z_a>) span H_k, so C_k(<x, x'>) = c_x^T G^+ c_x' for
-    c_x = (C_k(<x, z_a>))_a and G = (C_k(<z_a, z_b>))_ab, and B_k holds the
-    dim H_k leading eigenvectors of G scaled by lambda^(-1/2).  The kept
-    eigenvalues span a factor of at most 45 (measured for d = 2..20, k <= 100)
-    and the rest are below 1e-13 of the largest.
+    M = 2 dim H_n random nodes z_a; degree k uses the first 2 dim H_k.  The
+    zonal kernels C_k(<., z_a>) span H_k, so C_k(<x, x'>) = c_x^T G^+ c_x'
+    for c_x = (C_k(<x, z_a>))_a and G = (C_k(<z_a, z_b>))_ab.  B_k holds the
+    dim H_k leading eigenvectors of G over sqrt(lambda), so G^+ = B_k B_k^T;
+    lambda carries `renormalization`, since the recurrence yields T_k at
+    d = 1.  A test pins the kept eigenvalues within 50x of each other and
+    the dropped ones below 1e-12 of the largest.
     """
-    kind, size = energy_rule_size(d, n)
-    if kind == "product":
-        Y, omega = sphere_quadrature_grid(d, (n + 1) ** d, 2 * n + 1)
-        maps = None
-    else:
-        Y = np.random.default_rng(_SAMPLED_SEED).standard_normal((size, d + 1))
-        Y /= np.linalg.norm(Y, axis=1)[:, None]
-        omega = None
-        T = np.clip(Y @ Y.T, -1.0, 1.0)
-        maps = []
-        for k, C in enumerate(gegenbauer_terms((d - 1) / 2.0, n, T)):
-            if k == 0:
-                continue
-            h = harmonic_dim(d, k)
-            lam, U = np.linalg.eigh(C[:2 * h, :2 * h])
-            maps.append(U[:, -h:] / np.sqrt(lam[-h:]))
-    for a in (Y, omega, *(maps or ())):
-        if a is not None:
-            a.flags.writeable = False
-    return Y, omega, maps
+    size = energy_rule_size(d, n)
+    alpha = (d - 1) / 2.0
+    Z = np.random.default_rng(_SAMPLED_SEED).standard_normal((size, d + 1))
+    Z /= np.linalg.norm(Z, axis=1)[:, None]
+    maps = []
+    terms = gegenbauer_terms(alpha, n, np.clip(Z @ Z.T, -1.0, 1.0))
+    next(terms)
+    for k, P in enumerate(terms, 1):
+        h = harmonic_dim(d, k)
+        lam, U = np.linalg.eigh(P[:2 * h, :2 * h])
+        maps.append(U[:, -h:] / np.sqrt(renormalization(alpha, k) * lam[-h:]))
+    for a in (Z, *maps):
+        a.flags.writeable = False
+    return Z, tuple(maps)
+
+
+def _node_blocks(N, M):
+    """Slices of the M rule nodes such that N * block stays near _BLOCK_DOUBLES."""
+    block = max(1, _BLOCK_DOUBLES // N)
+    return [slice(start, start + block) for start in range(0, M, block)]
+
+
+def _fields(spec, X, Z):
+    """F_k(z_a) = (1/N) sum_i h_k(<x_i, z_a>), h_k = sqrt(w_k) lam_k C_k,
+    for k = 1..n at every rule node; shape (n, M)."""
+    N = X.shape[0]
+    coeffs = np.sqrt(spec.weights) * spec.lam / N
+    coeffs *= [renormalization(spec.alpha, k) for k in range(1, spec.n + 1)]
+    F = np.empty((spec.n, Z.shape[0]))
+    for nodes in _node_blocks(N, Z.shape[0]):
+        terms = gegenbauer_terms(spec.alpha, spec.n, X @ Z[nodes].T)
+        next(terms)
+        for k, term in enumerate(terms):
+            F[k, nodes] = coeffs[k] * term.sum(axis=0)
+    return F
 
 
 def _degree_energies(spec, X):
@@ -253,32 +255,14 @@ def _degree_energies(spec, X):
 
     By the addition theorem, integral h_k(<x, y>) h_k(<x', y>) dy equals
     lam_k C_k(<x, x'>) for h_k = sqrt(w_k) lam_k C_k, so
-    E_k = (1/N^2) sum_ij lam_k C_k(<x_i, x_j>) is the integral of F_k(y)^2
-    with F_k(y) = (1/N) sum_i h_k(<x_i, y>).  F_k^2 has degree 2k <= 2n, so
-    the product rule of `_energy_rule` integrates it exactly: E_k is the
-    weighted sum of omega_j F_k(y_j)^2.  On the sampled rule the same
-    values give E_k = |B_k^T F_k|^2 / (w_k lam_k).  Nodes are taken in
-    blocks so that the (N, block) recurrence arrays stay near
-    _BLOCK_DOUBLES doubles.
+    E_k = (1/N^2) sum_ij lam_k C_k(<x_i, x_j>) is the squared norm of
+    F_k(y) = (1/N) sum_i h_k(<x_i, y>).  On the zonal-span rule of
+    `_energy_rule` that norm is E_k = |B_k^T F_k|^2 / (w_k lam_k).
     """
-    N = X.shape[0]
-    Y, omega, maps = _energy_rule(spec.d, spec.n)
-    coeffs = np.sqrt(spec.weights) * spec.lam / N
-    coeffs *= [renormalization(spec.alpha, k) for k in range(1, spec.n + 1)]
-    out = np.zeros(spec.n)
-    F = None if maps is None else np.empty((spec.n, Y.shape[0]))
-    block = max(1, _BLOCK_DOUBLES // N)
-    for start in range(0, Y.shape[0], block):
-        stop = start + block
-        terms = gegenbauer_terms(spec.alpha, spec.n, X @ Y[start:stop].T)
-        next(terms)
-        for k, term in enumerate(terms):
-            Fk = coeffs[k] * term.sum(axis=0)
-            if maps is None:
-                out[k] += omega[start:stop] @ (Fk * Fk)
-            else:
-                F[k, start:stop] = Fk
-    for k, B in enumerate(maps or ()):
+    Z, maps = _energy_rule(spec.d, spec.n)
+    F = _fields(spec, X, Z)
+    out = np.empty(spec.n)
+    for k, B in enumerate(maps):
         v = B.T @ F[k, :B.shape[0]]
         out[k] = (v @ v) / (spec.weights[k] * spec.lam[k])
     return out
@@ -317,15 +301,28 @@ def energy_by_degree(config):
 
 
 def _gradient_raw(spec, X):
-    """Spherical gradient rows of the energy, d E / d x_i, shape (N, d+1)."""
+    """Spherical gradient rows of the energy, d E / d x_i, shape (N, d+1).
+
+    The tangent part of sum_k V_k^T dF_k / dx_i on the rule and fields of
+    `_degree_energies`, with V_k = 2 B_k B_k^T F_k / (w_k lam_k) and
+    dF_k(z_a) / dx_i = (c_k / N) C_{k-1}^{alpha+1}(<x_i, z_a>) z_a, where
+    c_k = shift_factor(alpha, 1) sqrt(w_k) lam_k.
+    """
+    Z, maps = _energy_rule(spec.d, spec.n)
     N = X.shape[0]
-    T = X @ X.T
-    np.clip(T, -1.0, 1.0, out=T)
-    W = gw_d1(spec, T)
-    np.fill_diagonal(W, 0.0)
-    M = W @ X
-    radial = np.einsum("ij,ij->i", W, T)
-    G = (2.0 / (N * N)) * (M - radial[:, None] * X)
+    F = _fields(spec, X, Z)
+    c = shift_factor(spec.alpha, 1) * np.sqrt(spec.weights) * spec.lam / N
+    V = np.zeros_like(F)
+    for k, B in enumerate(maps):
+        m = B.shape[0]
+        V[k, :m] = 2.0 * c[k] / (spec.weights[k] * spec.lam[k]) * (B @ (B.T @ F[k, :m]))
+    G = np.zeros_like(X)
+    for nodes in _node_blocks(N, Z.shape[0]):
+        terms = gegenbauer_terms(spec.alpha + 1.0, spec.n - 1, X @ Z[nodes].T)
+        A = V[0, nodes] * next(terms)
+        for k, term in enumerate(terms, 1):
+            A += V[k, nodes] * term
+        G += A @ Z[nodes]
     G -= np.einsum("ij,ij->i", G, X)[:, None] * X
     return G
 

@@ -457,24 +457,3 @@ def _eq_regions(d, N):
     regions.append(Region(d, ((cap_colatitude(d, (N - 1.0) / N), math.pi),)))
     return regions
 
-
-def partition_norm(partition):
-    """Maximal region diameter of a partition (upper bound, tight for caps)."""
-    return partition.norm
-
-
-def region_center(partition, i):
-    """Representative point of region i (the pole for polar caps)."""
-    _check_index(partition, i)
-    return partition.regions[i].center()
-
-
-def region_sample(partition, i, rng):
-    """Uniform sample from region i, drawn by inverse-CDF at every level."""
-    _check_index(partition, i)
-    return partition.regions[i].sample(rng)
-
-
-def _check_index(partition, i):
-    if not 0 <= i < partition.N:
-        raise IndexError(f"region index {i} out of range for N={partition.N}")

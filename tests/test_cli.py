@@ -144,6 +144,44 @@ def test_no_subcommand_offers_threads(command, capsys):
     assert "--threads" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel-info", "-d", "2", "-n", "2", "--seed", "1"],
+    ["kernel-info", "-d", "2", "-n", "2", "--verbose"],
+    ["partition", "-d", "2", "-N", "4", "--seed", "1"],
+    ["partition", "-d", "2", "-N", "4", "--verbose"],
+    ["verify", "points.json", "-n", "2", "--verbose"],
+    ["study", "-d", "1", "--n", "1", "--N-rule", "2", "-o", "study.csv", "--verbose"],
+], ids=["kernel-info-seed", "kernel-info-verbose", "partition-seed", "partition-verbose",
+        "verify-verbose", "study-verbose"])
+def test_flags_that_nothing_reads_are_not_offered(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("rule,message", [
+    ("3-n", "--N-rule at n=3: N rule '3-n' produced 0"),
+    ("n/0", "--N-rule at n=1: division by zero"),
+    ("1e308*10", "--N-rule at n=1: cannot convert float infinity"),
+])
+def test_study_n_rule_is_checked_at_every_n_before_any_solve(rule, message, capsys, tmp_path):
+    out = tmp_path / "study.csv"
+    argv = ["study", "-d", "1", "--n", "1,3", "--N-rule", rule, "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_one_column_csv_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "line.csv"
+    path.write_text("1\n-1\n")
+    err = _verify_rejected(["verify", str(path), "-n", "1"], capsys, cli.EXIT_DATA)
+    assert "rows need at least 2 coordinates" in err
+
+
 @pytest.mark.parametrize("text", [
     "5",
     '{"d": 1, "N": 1, "points": "ab"}',
@@ -181,7 +219,7 @@ def test_generate_that_used_to_stall_converges(tmp_path, capsys):
 
 
 def test_generate_in_high_dimension_converges(tmp_path, capsys):
-    # the product rule would need 4**7 * 7 = 114 688 nodes; the sampled rule has 312
+    # the zonal-span rule has 312 nodes here; a product rule would need 4**7 * 7 = 114 688
     out = tmp_path / "d8n3.json"
     argv = ["generate", "-d", "8", "-n", "3", "-N", "auto", "--seed", "1", "-o", str(out)]
     assert cli.main(argv) == cli.EXIT_OK

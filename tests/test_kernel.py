@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from designforge.gegenbauer import gegenbauer_terms, harmonic_dim, renormalization
 from designforge.kernel import (
     Configuration,
     _energy_raw,
+    _energy_rule,
     _gradient_raw,
     design_residual,
     energy,
@@ -371,7 +374,6 @@ def _assert_matches_oracle(got, exact):
     assert abs(mpmath.mpf(got) - exact) <= slack, (got, float(exact))
 
 
-# d = 5 at n = 6 and d = 6 at n = 3, 6 run on the sampled rule
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_energy_matches_mpmath_gram_sum_on_random_configs(d, n):
@@ -401,22 +403,55 @@ def test_energy_matches_mpmath_gram_sum_near_designs(design, n):
 
 
 def test_energy_rule_size():
-    # the product rule wherever d <= 3 and n <= 30, so those energies are exact sums
-    for d in (1, 2, 3):
-        for n in range(1, 31):
-            assert energy_rule_size(d, n) == ("product", (n + 1) ** (d - 1) * (2 * n + 1))
-    assert energy_rule_size(1, 200) == ("product", 401)
-    # the product rule would need 4**11 * 7 = 29 360 128 nodes here
-    assert energy_rule_size(12, 3) == ("sampled", 884)
-    assert energy_rule_size(8, 3) == ("sampled", 312)
-    for d, n in [(7, 7), (12, 5)]:
+    # one zonal-span rule of 2 dim H_n nodes on every sphere
+    for n in range(1, 201):
+        assert energy_rule_size(1, n) == 4
+        assert energy_rule_size(2, n) == 2 * (2 * n + 1)
+    for n in range(1, 45):
+        assert energy_rule_size(3, n) == 2 * (n + 1) ** 2
+    assert energy_rule_size(8, 3) == 312
+    assert energy_rule_size(12, 3) == 884
+    for d, n in [(3, 45), (4, 17), (5, 11), (6, 8), (7, 7), (12, 5)]:
         with pytest.raises(ValueError, match="no energy rule"):
             energy_rule_size(d, n)
 
 
+@pytest.mark.parametrize("d,n", [(1, 200), (2, 100), (3, 20), (8, 3), (12, 3)])
+def test_zonal_span_rule_is_well_conditioned(d, n):
+    # degree k <= n uses the first 2 dim H_k nodes of the (d, n) rule, so
+    # these five rules cover every k <= n on their sphere
+    Z, maps = _energy_rule(d, n)
+    alpha = (d - 1) / 2.0
+    terms = gegenbauer_terms(alpha, n, np.clip(Z @ Z.T, -1.0, 1.0))
+    next(terms)
+    for k, (P, B) in enumerate(zip(terms, maps), 1):
+        h = harmonic_dim(d, k)
+        G = renormalization(alpha, k) * P[:2 * h, :2 * h]
+        lam = np.linalg.eigvalsh(G)
+        kept, dropped = lam[-h:], lam[:-h]
+        assert kept[-1] <= 50.0 * kept[0], (k, kept[-1] / kept[0])
+        assert np.max(np.abs(dropped)) <= 1e-12 * kept[-1], k
+        # B_k B_k^T is the pseudo-inverse of G on its range
+        assert np.allclose(B.T @ G @ B, np.eye(h), atol=1e-10), k
+
+
+def test_gradient_memory_is_linear_in_N():
+    # a Gram-form gradient holds (N, N) arrays of 8 N^2 bytes each
+    spec = make_kernel(2, 5)
+    X = _random_config(spec, 6000, 3).coords
+    _energy_rule(2, 5)
+    tracemalloc.start()
+    try:
+        _gradient_raw(spec, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 6000**2
+
+
 def test_e8_roots_have_zero_energy_on_the_sampled_rule():
     X = e8_roots()
-    assert energy_rule_size(7, 5)[0] == "sampled"
+    assert energy_rule_size(7, 5) == 2 * 672
     assert 0.0 <= _energy_raw(make_kernel(7, 5), X) <= 1e-28
     assert np.all(energy_by_degree(Configuration(make_kernel(7, 5), X)) <= 1e-28)
 

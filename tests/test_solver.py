@@ -27,10 +27,6 @@ def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(tolerance=0.0)
     with pytest.raises(ValueError):
-        SolveOptions(backtracking=1.0)
-    with pytest.raises(ValueError):
-        SolveOptions(armijo=0.0)
-    with pytest.raises(ValueError):
         SolveOptions(max_iterations=-1)
 
 
@@ -111,18 +107,20 @@ def test_descent_step_rejects_negative_time():
 
 
 def test_descent_velocities_match_energy_gradient():
-    # independent derivations: field gradient vs -(N/2) energy gradient
-    spec = make_kernel(2, 4)
+    # independent derivations: the Gram-form field gradient against
+    # -(N/2) times the energy gradient on the zonal-span rule
     rng = np.random.default_rng(44)
-    X = rng.standard_normal((17, 3))
-    X /= np.linalg.norm(X, axis=1)[:, None]
-    config = Configuration(spec, X)
-    velocities = descent_velocities(config)
-    grads = energy_gradient(config)
-    for v, g in zip(velocities, grads):
-        expected = -(config.N / 2.0) * g.dir
-        scale = max(np.linalg.norm(expected), 1e-30)
-        assert np.max(np.abs(v.dir - expected)) <= 1e-12 * scale
+    for d in range(1, 7):
+        spec = make_kernel(d, 4)
+        X = rng.standard_normal((17, d + 1))
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        config = Configuration(spec, X)
+        velocities = descent_velocities(config)
+        grads = energy_gradient(config)
+        for v, g in zip(velocities, grads):
+            expected = -(config.N / 2.0) * g.dir
+            scale = max(np.linalg.norm(expected), 1e-30)
+            assert np.max(np.abs(v.dir - expected)) <= 1e-12 * scale, d
 
 
 def test_solve_two_points_reach_antipodal():
@@ -246,9 +244,8 @@ def test_energy_decrease_satisfies_armijo_condition():
     spec = make_kernel(2, 3)
     config, _ = initial_configuration(spec, 24, mode="random-in-region", seed=8)
     X = config.coords
-    from designforge.solver import _velocity_rows
+    from designforge.solver import _ARMIJO, _velocity_rows
 
-    opts = SolveOptions()
     V = _velocity_rows(spec, X)
     S = float(np.sum(V * V))
     e0 = _energy_raw(spec, X)
@@ -256,4 +253,4 @@ def test_energy_decrease_satisfies_armijo_condition():
 
     t = 1.0 / (3.0 * spec.gpp1 + spec.gp1)
     e1 = _energy_raw(spec, _geodesic_rows(X, V, t))
-    assert e1 <= e0 - opts.armijo * t * (2.0 / config.N) * S
+    assert e1 <= e0 - _ARMIJO * t * (2.0 / config.N) * S

@@ -13,10 +13,7 @@ from designforge.sphere import (
     eq_partition,
     geodesic_step,
     normalize,
-    partition_norm,
     random_point,
-    region_center,
-    region_sample,
     off_sphere_rows,
     tangent_project,
 )
@@ -200,15 +197,15 @@ def test_eq_partition_area_invariants(d, N):
 
 
 def test_partition_norm_hemispheres():
-    assert partition_norm(eq_partition(2, 2)) == pytest.approx(2.0)
+    assert eq_partition(2, 2).norm == pytest.approx(2.0)
 
 
 def test_partition_norm_circle_quarters():
-    assert partition_norm(eq_partition(1, 4)) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert eq_partition(1, 4).norm == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
 def test_partition_norm_decreases():
-    assert partition_norm(eq_partition(2, 100)) > partition_norm(eq_partition(2, 400))
+    assert eq_partition(2, 100).norm > eq_partition(2, 400).norm
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -222,13 +219,13 @@ def test_partition_norm_scaling_band(d):
 
 def test_region_center_polar_cap_is_pole():
     p = eq_partition(2, 10)
-    assert np.allclose(region_center(p, 0).coords, [0.0, 0.0, 1.0])
-    assert np.allclose(region_center(p, p.N - 1).coords, [0.0, 0.0, -1.0])
+    assert np.allclose(p.regions[0].center().coords, [0.0, 0.0, 1.0])
+    assert np.allclose(p.regions[p.N - 1].center().coords, [0.0, 0.0, -1.0])
 
 
 def test_region_center_arc_midpoint():
     p = eq_partition(1, 4)
-    c = region_center(p, 0)
+    c = p.regions[0].center()
     assert np.allclose(c.coords, [math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)])
 
 
@@ -244,7 +241,7 @@ def test_region_sample_membership():
     p = eq_partition(2, 33)
     for _ in range(10_000):
         i = int(rng.integers(p.N))
-        x = region_sample(p, i, rng)
+        x = p.regions[i].sample(rng)
         assert p.regions[i].contains(x.coords)
 
 
@@ -253,20 +250,14 @@ def test_region_sample_membership_d3():
     p = eq_partition(3, 40)
     for _ in range(2000):
         i = int(rng.integers(p.N))
-        assert p.regions[i].contains(region_sample(p, i, rng).coords)
+        assert p.regions[i].contains(p.regions[i].sample(rng).coords)
 
 
 def test_region_sample_deterministic():
     p = eq_partition(2, 12)
-    a = region_sample(p, 5, np.random.default_rng(4)).coords
-    b = region_sample(p, 5, np.random.default_rng(4)).coords
+    a = p.regions[5].sample(np.random.default_rng(4)).coords
+    b = p.regions[5].sample(np.random.default_rng(4)).coords
     assert np.array_equal(a, b)
-
-
-def test_region_index_out_of_range():
-    p = eq_partition(2, 4)
-    with pytest.raises(IndexError):
-        region_center(p, 4)
 
 
 def test_regions_cover_without_overlap():
