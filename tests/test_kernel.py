@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from designforge import kernel
 from designforge.gegenbauer import gegenbauer_terms, harmonic_dim, renormalization
 from designforge.kernel import (
     Configuration,
@@ -447,6 +448,34 @@ def test_gradient_memory_is_linear_in_N():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 6000**2
+
+
+def test_gradient_from_the_energy_fields_is_bitwise_the_same():
+    # the solver hands each accepted point's fields from the energy call to
+    # the next gradient instead of computing them again
+    for d in range(1, 7):
+        spec = make_kernel(d, 4)
+        X = _random_config(spec, 23, d).coords
+        E, F = _energy_raw(spec, X, fields=True)
+        assert E == _energy_raw(spec, X)
+        assert np.array_equal(_gradient_raw(spec, X, F), _gradient_raw(spec, X)), d
+
+
+@pytest.mark.parametrize("d, n, N", [(1, 9, 41), (2, 6, 50), (3, 4, 37)])
+def test_node_blocks_do_not_change_energy_or_gradient(d, n, N, monkeypatch):
+    spec = make_kernel(d, n)
+    M = energy_rule_size(d, n)
+    X = _random_config(spec, N, 5).coords
+    monkeypatch.setattr(kernel, "_BLOCK_DOUBLES", N * M)
+    assert len(kernel._node_blocks(N, M)) == 1
+    one = _energy_raw(spec, X), _gradient_raw(spec, X), energy_by_degree(Configuration(spec, X))
+    # 3 nodes a block, with a shorter last block
+    monkeypatch.setattr(kernel, "_BLOCK_DOUBLES", 3 * N)
+    assert len(kernel._node_blocks(N, M)) > 1 and M % 3 != 0
+    many = _energy_raw(spec, X), _gradient_raw(spec, X), energy_by_degree(Configuration(spec, X))
+    assert many[0] == pytest.approx(one[0], rel=1e-14, abs=0.0)
+    assert np.max(np.abs(many[1] - one[1])) <= 1e-14 * np.max(np.abs(one[1]))
+    assert np.allclose(many[2], one[2], rtol=1e-14, atol=0.0)
 
 
 def test_e8_roots_have_zero_energy_on_the_sampled_rule():

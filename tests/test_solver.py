@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from designforge import kernel, solver
 from designforge.kernel import (
     Configuration,
     _energy_raw,
@@ -254,3 +255,34 @@ def test_energy_decrease_satisfies_armijo_condition():
     t = 1.0 / (3.0 * spec.gpp1 + spec.gp1)
     e1 = _energy_raw(spec, _geodesic_rows(X, V, t))
     assert e1 <= e0 - _ARMIJO * t * (2.0 / config.N) * S
+
+
+def test_solve_makes_one_field_pass_per_energy_call(monkeypatch):
+    # the gradient at an accepted point reuses the fields its energy call built
+    calls = {"fields": 0, "energy": 0, "gradient": 0}
+    fields, energy_raw, gradient_raw = kernel._fields, solver._energy_raw, solver._gradient_raw
+
+    def counted_fields(spec, X):
+        calls["fields"] += 1
+        return fields(spec, X)
+
+    def counted_energy(*args, **kwargs):
+        calls["energy"] += 1
+        return energy_raw(*args, **kwargs)
+
+    def checked_gradient(spec, X, F=None):
+        calls["gradient"] += 1
+        assert F is not None and np.array_equal(F, fields(spec, X))
+        return gradient_raw(spec, X, F)
+
+    monkeypatch.setattr(kernel, "_fields", counted_fields)
+    monkeypatch.setattr(solver, "_energy_raw", counted_energy)
+    monkeypatch.setattr(solver, "_gradient_raw", checked_gradient)
+    spec = make_kernel(2, 6)
+    config, _ = initial_configuration(spec, 98, mode="random-in-region", seed=3)
+    _, report = solve(spec, config)
+    assert report.terminated == "converged" and report.iterations > 10
+    # the start plus at least one trial per iteration; no line search failed
+    assert calls["energy"] >= report.iterations + 1
+    assert calls["gradient"] == report.iterations
+    assert calls["fields"] == calls["energy"]
