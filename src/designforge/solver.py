@@ -1,12 +1,25 @@
-"""Geodesic descent on the design energy, with area-regular initialization.
+"""Riemannian L-BFGS on the design energy, with area-regular initialization.
 
-Each iteration moves every point along the great circle generated by the
-negative field gradient -grad Phi(x_i) = -(N/2) * grad energy, with an
-Armijo backtracking line search on the energy.  The step seed comes from
-the curvature certificate (3 g''(1) + g'(1)); the line search adapts it.
-The energy is the kernel's sum of squares, free of cancellation, so the
-line-search comparisons stay meaningful down to the 1e-24 achieved-zero
-scale on one float64 path.
+The unknowns are N points on S^d, a product of spheres.  Each iteration
+takes the energy gradient G at X (tangent, row by row) and the direction
+P = -H G of the limited-memory BFGS two-loop recursion over the last
+_MEMORY pairs (s, y), started from (s.y / y.y) times the identity and
+projected onto the tangent space at X.  The points move along great
+circles, X(t) = exp_X(t P), with Armijo backtracking from t = 1.  Pairs are
+carried to each new point by tangent projection (row i of s or y loses its
+component along x_i), and a pair with s.y <= 0 is not stored.  With no
+memory, or when the two-loop direction is not a descent direction, P is
+steepest descent at the curvature-certificate step 1 / (3 g''(1) + g'(1))
+along the velocities -(N/2) G, the step a plain descent would take.  A
+failed line search clears the memory and restarts from that step.
+
+The Armijo constant is the usual quasi-Newton 1e-4, not 0.5: a unit L-BFGS
+step is close to the minimizer along P, so its decrease is about half the
+linear prediction and a constant of 0.5 would reject it about as often as
+not.  The energy is the kernel's sum of squares, free of cancellation, so
+the line-search comparisons stay meaningful down to the 1e-24 achieved-zero
+scale on one float64 path.  See Absil, Mahony & Sepulchre, Optimization
+Algorithms on Matrix Manifolds (2008), and Graf & Potts, Numer. Math. 2011.
 """
 
 import time
@@ -30,7 +43,9 @@ _STALL_RELATIVE = 1e-16
 _MAX_BACKTRACKS = 80
 # Armijo line search: step shrink factor and sufficient-decrease constant
 _BACKTRACKING = 0.5
-_ARMIJO = 0.5
+_ARMIJO = 1e-4
+# L-BFGS: number of (s, y) pairs kept
+_MEMORY = 8
 
 
 @dataclass
@@ -48,6 +63,11 @@ class SolveOptions:
 
 @dataclass
 class SolveReport:
+    """step_trace holds, per iteration, the accepted multiplier t in (0, 1]
+    of that iteration's direction: 1.0 is a full quasi-Newton step (or the
+    full curvature-certificate step when the direction is steepest descent).
+    """
+
     iterations: int
     energy_trace: list
     step_trace: list
@@ -132,8 +152,28 @@ def descent_step(config, t):
     return config.with_coords(_geodesic_rows(config.coords, V, t))
 
 
+def _tangent_rows(X, V):
+    """V with each row's component along the matching row of X removed."""
+    return V - np.einsum("ij,ij->i", V, X)[:, None] * X
+
+
+def _two_loop(G, memory, gamma):
+    """-H G for the L-BFGS inverse-Hessian estimate H of the (s, y, 1/s.y)
+    pairs in memory (oldest first), started from gamma * identity."""
+    q = G.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        a = rho * float(np.vdot(s, q))
+        q -= a * y
+        alphas.append(a)
+    q *= gamma
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        q += (a - rho * float(np.vdot(y, q))) * s
+    return -q
+
+
 def solve(spec, init, opts=None, initial_bound=None):
-    """Drive a configuration to a spherical design by monotone geodesic descent.
+    """Drive a configuration to a spherical design by Riemannian L-BFGS.
 
     Returns (Configuration, SolveReport); terminated is "converged" exactly
     when the final residual sqrt(energy) is at or below opts.tolerance.
@@ -153,49 +193,66 @@ def solve(spec, init, opts=None, initial_bound=None):
     if not np.isfinite(E):
         raise ArithmeticError("numerical blowup: non-finite energy")
 
-    step = 1.0 / (3.0 * spec.gpp1 + spec.gp1)
+    # steepest descent moves along the velocities -(N/2) G at the
+    # curvature-certificate step, so its direction is `steepest` times G
+    steepest = -(N / 2.0) / (3.0 * spec.gpp1 + spec.gp1)
 
     energy_trace = [E]
     step_trace = []
+    memory = []
+    gamma = G = None
+    last = None  # (step, gradient) of the previous accepted move
     iterations = 0
     stall = 0
     terminated = "max_iterations"
-    for _ in range(opts.max_iterations + 1):
+    while True:
         if E <= tol2:
             terminated = "converged"
             break
         if iterations >= opts.max_iterations:
             break
 
-        V = _velocity_rows(spec, X, F)
-        S = float(np.einsum("ij,ij->", V, V))
-        if S == 0.0:
+        if G is None:  # a retry after a failed search keeps the gradient
+            G = _gradient_raw(spec, X, F)
+        if not np.any(G):
             terminated = "stalled"
             break
-        deriv = -(2.0 / N) * S
+        # carry the pairs and the last move to the tangent space at X
+        memory = [(_tangent_rows(X, s), _tangent_rows(X, y), rho) for s, y, rho in memory]
+        if last is not None:
+            s = _tangent_rows(X, last[0])
+            y = G - _tangent_rows(X, last[1])
+            sy = float(np.vdot(s, y))
+            if sy > 0.0:
+                memory = (memory + [(s, y, 1.0 / sy)])[-_MEMORY:]
+                gamma = sy / float(np.vdot(y, y))
 
-        t = step
-        accepted = False
-        first_try = True
+        P = _tangent_rows(X, _two_loop(G, memory, gamma)) if memory else None
+        if P is None or not np.vdot(G, P) < 0.0:
+            memory, P = [], steepest * G
+        deriv = float(np.vdot(G, P))
+
+        t = 1.0
         for _bt in range(_MAX_BACKTRACKS):
-            Xt = _geodesic_rows(X, V, t)
+            Xt = _geodesic_rows(X, P, t)
             Et, Ft = _energy_raw(spec, Xt, fields=True)
             if not np.isfinite(Et):
                 raise ArithmeticError("numerical blowup: non-finite energy")
             if Et <= E + _ARMIJO * t * deriv:
-                accepted = True
                 break
             t *= _BACKTRACKING
-            first_try = False
-        if not accepted:
+        else:
+            # a failed search restarts from steepest descent; if it already
+            # was steepest descent, a retry would repeat it exactly
             stall += 1
-            if stall >= _STALL_LIMIT:
+            if not memory or stall >= _STALL_LIMIT:
                 terminated = "stalled"
                 break
-            step *= _BACKTRACKING
+            memory, last = [], None
             continue
 
-        X, F = Xt, Ft
+        last = (t * P, G)
+        X, F, G = Xt, Ft, None
         iterations += 1
         previous = E
         E = Et
@@ -206,7 +263,6 @@ def solve(spec, init, opts=None, initial_bound=None):
         if stall >= _STALL_LIMIT:
             terminated = "stalled"
             break
-        step = t / _BACKTRACKING if first_try else t
 
     final_residual = float(np.sqrt(E))
     report = SolveReport(

@@ -242,6 +242,18 @@ def test_generate_that_used_to_stall_converges(tmp_path, capsys):
     assert doc["verification"]["mz"]["pass"] is True
 
 
+def test_generate_near_the_existence_threshold_converges(tmp_path, capsys):
+    # steepest descent left this solve at residual 5.9e-6 after 3000 iterations (exit 2)
+    out = tmp_path / "d2n6N28.json"
+    argv = ["generate", "-d", "2", "-n", "6", "-N", "28", "--seed", "1",
+            "--max-iter", "3000", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["solve"]["terminated"] == "converged"
+    assert doc["verification"]["pass"] is True
+    assert doc["verification"]["mz"]["pass"] is True
+
+
 def test_generate_in_high_dimension_converges(tmp_path, capsys):
     # the zonal-span rule has 312 nodes here; a product rule would need 4**7 * 7 = 114 688
     out = tmp_path / "d8n3.json"
