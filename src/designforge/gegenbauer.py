@@ -1,12 +1,14 @@
 """Gegenbauer polynomials, their derivatives, and spherical harmonic dimensions.
 
 Everything here is scalar special-function plumbing: the three-term
-recurrence for C_k^alpha on [-1, 1], closed forms at t = 1, and the
-dimension count for the degree-k harmonic space on S^d.
+recurrence for C_k^alpha on [-1, 1], exact rational values at t = 1, and
+the dimension count for the degree-k harmonic space on S^d.
 
-`gegenbauer_terms` is the only float64 three-term recurrence in the
-package; every value, derivative, kernel series and per-degree sum is read
-off the sequence it yields.  The alpha = 0 case (the circle, d = 1) uses
+`gegenbauer_terms` is the one way the package evaluates a Gegenbauer
+polynomial in float64; every value, kernel series, field and per-degree sum
+is read off the sequence it yields.  Derivatives are read off it too,
+through the index shift d^r/dt^r C_k^alpha = shift_factor(alpha, r) *
+C_{k-r}^{alpha+r}.  The alpha = 0 case (the circle, d = 1) uses
 the renormalized Chebyshev limit C_k^0 := lim_{a->0} C_k^a / a = (2/k) T_k
 (and C_0^0 = 1), so that values at 1 stay nonzero and the zonal addition
 identity keeps the same shape as for d >= 2.  At alpha = 0 the generator
@@ -17,23 +19,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 MAX_DEGREE = 200
 
 _T_SLACK = 1e-12
-
-
-def _check_degree(k):
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    if k > MAX_DEGREE:
-        raise ValueError(f"degree {k} exceeds supported maximum {MAX_DEGREE}")
-
-
-def _check_alpha(alpha):
-    if alpha < 0:
-        raise ValueError("alpha < 0 is not supported (alpha = (d-1)/2 >= 0)")
 
 
 def clamp_unit(t):
@@ -100,41 +89,6 @@ def shift_factor(alpha, order):
     return 4.0 * alpha * (alpha + 1.0) if alpha > 0 else 4.0
 
 
-def gegenbauer_eval(alpha, k, t):
-    """Evaluate the Gegenbauer polynomial C_k^alpha at t in [-1, 1].
-
-    The last term of `gegenbauer_terms`, renormalized at alpha = 0.
-    Accepts scalar or ndarray t; returns the same shape.
-    """
-    _check_alpha(alpha)
-    _check_degree(k)
-    t = clamp_unit(t)
-    scalar = t.ndim == 0
-    for term in gegenbauer_terms(alpha, k, np.atleast_1d(t)):
-        pass
-    out = renormalization(alpha, k) * term
-    return float(out[0]) if scalar else out
-
-
-def gegenbauer_at_one(alpha, k):
-    """Value of C_k^alpha at t = 1: the binomial coefficient C(2*alpha+k-1, k).
-
-    Computed by the product formula prod_{j=1..k} (2*alpha+j-1)/j, which is
-    exact for integer 2*alpha.  For alpha = 0 the renormalized-limit value
-    2/k is returned (1 for k = 0).
-    """
-    _check_alpha(alpha)
-    _check_degree(k)
-    if k == 0:
-        return 1.0
-    if alpha == 0.0:
-        return 2.0 / k
-    value = 1.0
-    for j in range(1, k + 1):
-        value *= (2.0 * alpha + j - 1.0) / j
-    return value
-
-
 def gegenbauer_at_one_exact(alpha2, k):
     """Exact rational C_k^alpha(1) given alpha2 = 2*alpha as a Fraction/int."""
     alpha2 = Fraction(alpha2)
@@ -148,28 +102,11 @@ def gegenbauer_at_one_exact(alpha2, k):
     return value
 
 
-def gegenbauer_derivative(alpha, k, t, order=1):
-    """First or second derivative of C_k^alpha at t, by the index shift
-    d^r/dt^r C_k^alpha = shift_factor(alpha, r) * C_{k-r}^{alpha+r}."""
-    _check_alpha(alpha)
-    _check_degree(k)
-    if order not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
-    if k < order:
-        t = clamp_unit(t)
-        return 0.0 if t.ndim == 0 else np.zeros_like(t)
-    return _scale(shift_factor(alpha, order), gegenbauer_eval(alpha + order, k - order, t))
-
-
-def _scale(c, v):
-    return c * v if isinstance(v, np.ndarray) else float(c * v)
-
-
 def derivative_at_one_exact(d, k, order):
     """Exact rational value of the order-th derivative of C_k^alpha at 1.
 
-    alpha = (d-1)/2 for integer sphere dimension d >= 1; uses the same
-    index-shift identities as gegenbauer_derivative.
+    alpha = (d-1)/2 for integer sphere dimension d >= 1; uses the index
+    shift d^r/dt^r C_k^alpha = shift_factor(alpha, r) * C_{k-r}^{alpha+r}.
     """
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
@@ -198,39 +135,3 @@ def harmonic_dim(d, k):
     if k < 1:
         raise ValueError("harmonic degree k must be >= 1 (constants excluded)")
     return math.comb(d + k, d) - math.comb(d + k - 2, d)
-
-
-def orthogonality_residual(alpha, m, n, grid_size=256):
-    """|quadrature of C_m C_n against (1-t^2)^(alpha-1/2) minus closed form|.
-
-    Gauss-Jacobi quadrature with `grid_size` nodes integrates the product
-    exactly once 2*grid_size - 1 >= m + n.  Test helper only.
-    """
-    _check_alpha(alpha)
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
-    nodes, weights = roots_jacobi(grid_size, alpha - 0.5, alpha - 0.5)
-    fm = gegenbauer_eval(alpha, m, nodes)
-    fn = fm if m == n else gegenbauer_eval(alpha, n, nodes)
-    numeric = float(np.dot(weights, fm * fn))
-    return abs(numeric - _orthogonality_constant(alpha, m, n))
-
-
-def _orthogonality_constant(alpha, m, n):
-    if m != n:
-        return 0.0
-    if alpha == 0.0:
-        # renormalized (2/k) T_k: integral of (2/m)^2 T_m^2 / sqrt(1-t^2)
-        return math.pi if m == 0 else 2.0 * math.pi / m**2
-    if m == 0:
-        # B(1/2, alpha+1/2)
-        return math.exp(math.lgamma(0.5) + math.lgamma(alpha + 0.5) - math.lgamma(alpha + 1.0))
-    log_c = (
-        math.log(math.pi)
-        + (1.0 - 2.0 * alpha) * math.log(2.0)
-        + math.lgamma(m + 2.0 * alpha)
-        - math.lgamma(m + 1.0)
-        - math.log(alpha + m)
-        - 2.0 * math.lgamma(alpha)
-    )
-    return math.exp(log_c)

@@ -37,13 +37,7 @@ from .gegenbauer import (
     renormalization,
     shift_factor,
 )
-from .sphere import (
-    UNIT_TOL,
-    TangentVector,
-    UnitPoint,
-    as_coords,
-    off_sphere_rows,
-)
+from .sphere import UNIT_TOL, as_coords, off_sphere_rows, tangent_rows
 
 ACHIEVED_ZERO = 1e-24
 # node block size of the field passes: N * block stays near this many doubles
@@ -183,10 +177,6 @@ class Configuration:
     @property
     def N(self):
         return self.coords.shape[0]
-
-    @property
-    def points(self):
-        return [UnitPoint(row) for row in self.coords]
 
     def with_coords(self, X):
         return Configuration(self.spec, X)
@@ -341,16 +331,12 @@ def _gradient_raw(spec, X, F=None):
         for k, term in enumerate(terms, 1):
             A += np.multiply(V[k, nodes], term, out=scratch)
         G += A @ Z[nodes]
-    G -= np.einsum("ij,ij->i", G, X)[:, None] * X
-    return G
+    return tangent_rows(X, G)
 
 
 def energy_gradient(config):
-    """Tangent gradient of energy() at each configuration point."""
-    rows = _gradient_raw(config.spec, config.coords)
-    return [
-        TangentVector(UnitPoint(x), g) for x, g in zip(config.coords, rows)
-    ]
+    """Tangent gradient of energy() at the configuration, one row per point."""
+    return _gradient_raw(config.spec, config.coords)
 
 
 def design_residual(config):
@@ -363,13 +349,12 @@ def design_residual(config):
 
 
 def kernel_poly_eval(spec, centers, coeffs, y):
-    """Evaluate P = sum_i a_i g(<z_i, .>) at the point y."""
+    """Evaluate P = sum_i a_i g(<z_i, .>) at the point y, a vector of length d+1."""
     Z = as_coords(centers)
     a = np.asarray(coeffs, dtype=float)
     if Z.shape[0] != a.size:
         raise ValueError("centers and coeffs must have equal length")
-    y = y.coords if isinstance(y, UnitPoint) else np.asarray(y, dtype=float)
-    t = np.clip(Z @ y, -1.0, 1.0)
+    t = np.clip(Z @ np.asarray(y, dtype=float), -1.0, 1.0)
     return float(a @ gw_eval(spec, t))
 
 

@@ -22,6 +22,7 @@ scale on one float64 path.  See Absil, Mahony & Sepulchre, Optimization
 Algorithms on Matrix Manifolds (2008), and Graf & Potts, Numer. Math. 2011.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -34,7 +35,7 @@ from .kernel import (
     gw_d1,
     make_kernel,
 )
-from .sphere import TangentVector, UnitPoint, _geodesic_rows, eq_partition
+from .sphere import _geodesic_rows, eq_partition, tangent_rows
 
 # perfbench/tracing.py wraps this name; solve calls _energy_raw only
 _energy_dd_raw = _energy_raw
@@ -55,8 +56,8 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
 
@@ -114,47 +115,26 @@ def initial_configuration(spec, N, mode="centers", seed=0, partition=None):
         X = np.array(partition.centers, dtype=float)
     elif mode == "random-in-region":
         rng = np.random.default_rng(seed)
-        X = np.stack([partition.regions[i].sample(rng).coords for i in range(N)])
+        X = np.stack([partition.regions[i].sample(rng) for i in range(N)])
     else:
         raise ValueError(f"unknown initialization mode {mode!r}")
     return Configuration(spec, X), initial_energy_bound(spec, partition)
 
 
 def descent_velocities(config):
-    """Per-point descent velocities -grad Phi(x_i), derived from the Gram
-    form of the field Phi(y) = (1/N) sum_j g(<x_j, y>) directly: O(N^2), the
-    independent reference the tests hold the energy gradient to."""
+    """Descent velocities -grad Phi(x_i), one row per point, derived from the
+    Gram form of the field Phi(y) = (1/N) sum_j g(<x_j, y>) directly: O(N^2),
+    the independent reference the tests hold the energy gradient to."""
     spec = config.spec
     X = config.coords
     N = X.shape[0]
-    out = []
+    V = np.empty_like(X)
     for i in range(N):
         t = np.clip(X @ X[i], -1.0, 1.0)
         w = gw_d1(spec, t)
         proj = X - t[:, None] * X[i]
-        v = -(w[:, None] * proj).sum(axis=0) / N
-        v -= (v @ X[i]) * X[i]
-        out.append(TangentVector(UnitPoint(X[i]), v))
-    return out
-
-
-def _velocity_rows(spec, X, F=None):
-    """Hot-path velocities -(N/2) * energy gradient, row-stacked; F is the
-    fields of X when the energy call that accepted X already built them."""
-    return -(X.shape[0] / 2.0) * _gradient_raw(spec, X, F)
-
-
-def descent_step(config, t):
-    """One geodesic step of size t along the descent velocities."""
-    if t < 0.0:
-        raise ValueError("step size must be nonnegative")
-    V = _velocity_rows(config.spec, config.coords)
-    return config.with_coords(_geodesic_rows(config.coords, V, t))
-
-
-def _tangent_rows(X, V):
-    """V with each row's component along the matching row of X removed."""
-    return V - np.einsum("ij,ij->i", V, X)[:, None] * X
+        V[i] = -(w[:, None] * proj).sum(axis=0) / N
+    return tangent_rows(X, V)
 
 
 def _two_loop(G, memory, gamma):
@@ -218,16 +198,16 @@ def solve(spec, init, opts=None, initial_bound=None):
             terminated = "stalled"
             break
         # carry the pairs and the last move to the tangent space at X
-        memory = [(_tangent_rows(X, s), _tangent_rows(X, y), rho) for s, y, rho in memory]
+        memory = [(tangent_rows(X, s), tangent_rows(X, y), rho) for s, y, rho in memory]
         if last is not None:
-            s = _tangent_rows(X, last[0])
-            y = G - _tangent_rows(X, last[1])
+            s = tangent_rows(X, last[0])
+            y = G - tangent_rows(X, last[1])
             sy = float(np.vdot(s, y))
             if sy > 0.0:
                 memory = (memory + [(s, y, 1.0 / sy)])[-_MEMORY:]
                 gamma = sy / float(np.vdot(y, y))
 
-        P = _tangent_rows(X, _two_loop(G, memory, gamma)) if memory else None
+        P = tangent_rows(X, _two_loop(G, memory, gamma)) if memory else None
         if P is None or not np.vdot(G, P) < 0.0:
             memory, P = [], steepest * G
         deriv = float(np.vdot(G, P))

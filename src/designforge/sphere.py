@@ -1,4 +1,10 @@
-"""Points on S^d, tangent vectors, geodesics, and equal-area partitions.
+"""Points on S^d, geodesics, quadrature rings and equal-area partitions.
+
+Points and tangent vectors are the rows of float arrays: N points on S^d
+are an (N, d+1) array X of unit rows, and tangent vectors at them are an
+(N, d+1) array V with each row orthogonal to the matching row of X.
+`tangent_rows` projects onto those tangent spaces and `_geodesic_rows`
+moves along great circles; every point a region yields is such a row.
 
 The partition construction is recursive and zonal: two polar caps plus
 collars, each collar split by partitioning the cross-section sphere
@@ -15,85 +21,17 @@ import numpy as np
 from scipy.special import betainc, betaincinv, gammaln, roots_gegenbauer
 
 UNIT_TOL = 1e-12
-_TANGENT_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, eq=False)
-class UnitPoint:
-    """A point on S^d stored as a unit vector in R^(d+1)."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1 or c.size < 2:
-            raise ValueError("coords must be a vector of length d+1 >= 2")
-        if not abs(np.linalg.norm(c) - 1.0) <= UNIT_TOL:
-            raise ValueError("coords are not unit length")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def d(self):
-        return self.coords.size - 1
-
-
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """A vector attached to a base point and orthogonal to it."""
-
-    base: UnitPoint
-    dir: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.dir, dtype=float)
-        if v.shape != self.base.coords.shape:
-            raise ValueError("dir must match the base point dimension")
-        if abs(float(v @ self.base.coords)) > _TANGENT_TOL * max(np.linalg.norm(v), 1e-300):
-            raise ValueError("dir is not tangential at base")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "dir", v)
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.dir))
-
-
-def normalize(v):
-    """Scale a nonzero vector to unit length."""
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("degenerate direction")
-    return UnitPoint(v / n)
-
-
-def tangent_project(x, v):
-    """Project v onto the tangent space at x: v - (v,x) x."""
-    base = x if isinstance(x, UnitPoint) else UnitPoint(np.asarray(x, dtype=float))
-    v = np.asarray(v, dtype=float)
-    d = v - (v @ base.coords) * base.coords
-    # one re-orthogonalization pass keeps the residual at rounding level
-    d = d - (d @ base.coords) * base.coords
-    return TangentVector(base, d)
-
-
-def geodesic_step(x, v, t):
-    """Move from x along the great circle with tangent velocity v for time t.
-
-    Arc length traveled is |v| * t; zero velocity returns x unchanged.
-    """
-    base = x.coords if isinstance(x, UnitPoint) else np.asarray(x, dtype=float)
-    vel = v.dir if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
-    out = _geodesic_rows(base[None, :], vel[None, :], t)[0]
-    return UnitPoint(out)
+def tangent_rows(X, V):
+    """V with each row's component along the matching row of X removed."""
+    return V - np.einsum("ij,ij->i", V, X)[:, None] * X
 
 
 def _geodesic_rows(X, V, t):
-    """Vectorized geodesic motion for row-stacked points and velocities."""
+    """Move each row of X along its great circle with tangent velocity the
+    matching row of V for time t: arc length |v| t, zero velocity stays."""
     speeds = np.linalg.norm(V, axis=1)
     moving = speeds > 0.0
     out = X.copy()
@@ -107,11 +45,6 @@ def _geodesic_rows(X, V, t):
     return out
 
 
-def random_point(d, rng):
-    """Uniform point on S^d (normalized Gaussian vector)."""
-    return UnitPoint(_random_unit(d, rng))
-
-
 def _random_unit(d, rng):
     while True:
         g = rng.standard_normal(d + 1)
@@ -121,13 +54,9 @@ def _random_unit(d, rng):
 
 
 def as_coords(points):
-    """Coerce UnitPoints / array-likes into an (N, d+1) float array."""
-    if isinstance(points, np.ndarray):
-        a = np.asarray(points, dtype=float)
-    elif len(points) and isinstance(points[0], UnitPoint):
-        a = np.stack([p.coords for p in points])
-    else:
-        a = np.asarray(points, dtype=float)
+    """Coerce an array-like of points into an (N, d+1) float array; a single
+    point of length d+1 becomes one row."""
+    a = np.asarray(points, dtype=float)
     if a.ndim == 1:
         a = a[None, :]
     if a.ndim != 2 or a.shape[1] < 2:
@@ -291,10 +220,12 @@ class Region:
         return True
 
     def center(self):
-        return UnitPoint(_center_coords(self.levels, self.d))
+        """The region's center as a unit vector of length d+1."""
+        return _center_coords(self.levels, self.d)
 
     def sample(self, rng):
-        return UnitPoint(_sample_coords(self.levels, self.d, rng))
+        """A point drawn uniformly in the region, as a unit vector."""
+        return _sample_coords(self.levels, self.d, rng)
 
 
 def _diameter_bound(levels, m):
@@ -383,7 +314,7 @@ class Partition:
     @classmethod
     def from_regions(cls, d, regions):
         regions = tuple(regions)
-        centers = np.stack([r.center().coords for r in regions])
+        centers = np.stack([r.center() for r in regions])
         diams = np.array([r.diameter_bound() for r in regions])
         areas = np.array([r.area_fraction() for r in regions])
         return cls(d, regions, centers, diams, areas)

@@ -296,8 +296,8 @@ def sampling_energy_check(spec, partition, trials=200, seed=0):
     cross = np.empty(trials)
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        X = np.stack([partition.regions[i].sample(rng).coords for i in range(N)])
-        Y = np.stack([partition.regions[i].sample(rng).coords for i in range(N)])
+        X = np.stack([partition.regions[i].sample(rng) for i in range(N)])
+        Y = np.stack([partition.regions[i].sample(rng) for i in range(N)])
         energies[trial] = _energy_raw(spec, X)
         cross[trial] = float(np.mean(gw_eval(spec, np.clip(X @ Y.T, -1.0, 1.0))))
     mean_energy = float(np.mean(energies))

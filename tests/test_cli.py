@@ -276,3 +276,54 @@ def test_oversized_energy_rule_is_a_usage_error(argv, capsys, tmp_path, monkeypa
     assert "no energy rule for d=" in err
     assert "Traceback" not in err
     assert not (tmp_path / "unused.json").exists()
+
+
+_SMALL_GENERATE = ["generate", "-d", "1", "-n", "2", "-N", "3", "-o", "out.json"]
+_SMALL_STUDY = ["study", "-d", "1", "--n", "1..2", "--N-rule", "n+1", "-o", "out.csv"]
+
+
+_NUMERIC_FLAG_CASES = [
+    (_SMALL_GENERATE + ["--max-iter", "-1"], "--max-iter must be >= 0"),
+    (_SMALL_GENERATE + ["--seed", "-1"], "--seed must be >= 0"),
+    (_SMALL_GENERATE + ["--tol", "0"], "--tol must be finite and > 0"),
+    (_SMALL_GENERATE + ["--tol", "-1"], "--tol must be finite and > 0"),
+    (_SMALL_GENERATE + ["--tol", "nan"], "--tol must be finite and > 0"),
+    (_SMALL_GENERATE + ["--tol", "inf"], "--tol must be finite and > 0"),
+    (_SMALL_GENERATE + ["--tol-monomial", "-1"], "--tol-monomial must be finite and >= 0"),
+    (_SMALL_GENERATE + ["--tol-monomial", "nan"], "--tol-monomial must be finite and >= 0"),
+    (_SMALL_STUDY + ["--max-iter", "-1"], "--max-iter must be >= 0"),
+    (_SMALL_STUDY + ["--seed", "-1"], "--seed must be >= 0"),
+    (_SMALL_STUDY + ["--tol", "0"], "--tol must be finite and > 0"),
+    (_SMALL_STUDY + ["--tol", "-1"], "--tol must be finite and > 0"),
+    (["verify", "poly.json", "-n", "3", "--mz", "p.json", "--seed", "-1"], "--seed must be >= 0"),
+    (["verify", "poly.json", "-n", "3", "--tol", "-1"], "--tol must be finite and >= 0"),
+    (["verify", "poly.json", "-n", "3", "--tol", "nan"], "--tol must be finite and >= 0"),
+    (["verify", "poly.json", "-n", "3", "--tol", "inf"], "--tol must be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _NUMERIC_FLAG_CASES,
+                         ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in _NUMERIC_FLAG_CASES])
+def test_out_of_range_numeric_flags_are_usage_errors(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_json(tmp_path / "poly.json", _polygon(9))
+    _write_partition(tmp_path / "p.json", 1, 9)
+    err = _verify_rejected(argv, capsys, cli.EXIT_USAGE)
+    assert message in err
+    # rejected before any work: nothing written
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_generate_exits_fail_when_its_own_verification_fails(tmp_path, capsys):
+    # the solve converges, but no 12 points average the monomials to 1e-30
+    out = tmp_path / "d2n2N12.json"
+    argv = ["generate", "-d", "2", "-n", "2", "-N", "12", "--tol-monomial", "1e-30",
+            "--no-timestamp", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_FAIL
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["solve"]["terminated"] == "converged"
+    assert doc["verification"]["pass"] is False
+    # files and report are still written
+    assert out.exists()
+    assert (tmp_path / "d2n2N12.report.json").exists()

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from designforge.gegenbauer import gegenbauer_at_one, gegenbauer_eval
+from scipy.special import eval_gegenbauer
+
+from designforge.gegenbauer import gegenbauer_at_one_exact
 from designforge.kernel import (
     Configuration,
     _energy_raw,
@@ -16,10 +18,18 @@ from designforge.kernel import (
     energy_by_degree,
     make_kernel,
 )
-from designforge.sphere import UnitPoint, geodesic_step, tangent_project
+from designforge.sphere import _geodesic_rows, tangent_rows
 
 # derandomized, so that a tier-1 run is reproducible; no example database
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def scipy_gegenbauer(alpha, k, t):
+    """C_k^alpha(t) outside the package: scipy for alpha > 0, and the
+    renormalized limit (2/k) cos(k arccos t) at alpha = 0, where scipy gives 0."""
+    if alpha == 0.0:
+        return (2.0 / k) * np.cos(k * np.arccos(t))
+    return eval_gegenbauer(k, alpha, t)
 
 
 @st.composite
@@ -60,17 +70,22 @@ def test_energy_is_invariant_under_rotation_and_permutation(case):
 @given(configurations())
 def test_energy_by_degree_is_nonnegative_and_sums_to_the_energy(case):
     spec, X, _ = case
-    parts = energy_by_degree(Configuration(spec, X))
+    config = Configuration(spec, X)
+    parts = energy_by_degree(config)
     assert parts.shape == (spec.n,)
     assert np.all(parts >= 0.0)
-    assert math.fsum(parts) == pytest.approx(_energy_raw(spec, X), rel=1e-15, abs=0.0)
+    # the same rows as the parts: Configuration renormalizes X, which can move
+    # the energy by a few ulps
+    E = _energy_raw(spec, config.coords)
+    assert math.fsum(parts) == pytest.approx(E, rel=1e-15, abs=0.0)
     # each part against its Gram sum (1/N^2) sum_ij lam_k C_k(<x_i, x_j>), an
     # independent route that cancels terms of size lam_k C_k(1)
     t = np.clip(X @ X.T, -1.0, 1.0)
     for k in range(1, spec.n + 1):
         lam = spec.lam[k - 1]
-        gram = lam * gegenbauer_eval(spec.alpha, k, t).sum() / X.shape[0] ** 2
-        assert abs(parts[k - 1] - gram) <= 1e-12 * lam * gegenbauer_at_one(spec.alpha, k), k
+        gram = lam * scipy_gegenbauer(spec.alpha, k, t).sum() / X.shape[0] ** 2
+        at_one = float(gegenbauer_at_one_exact(spec.d - 1, k))
+        assert abs(parts[k - 1] - gram) <= 1e-12 * lam * at_one, k
 
 
 @PROPERTY_SETTINGS
@@ -79,14 +94,14 @@ def test_gradient_matches_central_finite_differences(case):
     spec, X, rng = case
     G = _gradient_raw(spec, X)
     i = int(rng.integers(X.shape[0]))
-    x = UnitPoint(X[i])
-    u = tangent_project(x, rng.standard_normal(spec.d + 1)).dir
+    x = X[i:i + 1]
+    u = tangent_rows(x, rng.standard_normal((1, spec.d + 1)))[0]
     u = u / max(np.linalg.norm(u), 1e-300)
     h = 1e-5
 
     def moved(t):
         Y = np.array(X)
-        Y[i] = geodesic_step(x, tangent_project(x, u), t).coords
+        Y[i] = _geodesic_rows(x, tangent_rows(x, u[None, :]), t)[0]
         return _energy_raw(spec, Y)
 
     fd = (moved(h) - moved(-h)) / (2.0 * h)

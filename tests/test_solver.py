@@ -14,7 +14,6 @@ from designforge.kernel import (
 )
 from designforge.solver import (
     SolveOptions,
-    descent_step,
     descent_velocities,
     initial_configuration,
     initial_energy_bound,
@@ -24,9 +23,15 @@ from designforge.solver import (
 from designforge.sphere import _geodesic_rows, eq_partition
 
 
+def _steepest_velocities(spec, X):
+    """The velocities -(N/2) G along which the solver's steepest-descent step moves."""
+    return -(X.shape[0] / 2.0) * kernel._gradient_raw(spec, X)
+
+
 def test_solve_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(tolerance=0.0)
+    for tolerance in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolveOptions(tolerance=tolerance)
     with pytest.raises(ValueError):
         SolveOptions(max_iterations=-1)
 
@@ -51,7 +56,7 @@ def test_initial_configuration_random_reproducible():
     assert not np.array_equal(a.coords, c.coords)
 
 
-def test_initial_configuration_random_points_stay_in_regions():
+def test_initial_configuration_random_starts_stay_in_regions():
     spec = make_kernel(2, 3)
     p = eq_partition(2, 25)
     config, _ = initial_configuration(spec, 25, mode="random-in-region", seed=3, partition=p)
@@ -78,35 +83,6 @@ def test_initial_energy_bound_decreases_with_N():
     assert bounds[0] / bounds[2] == pytest.approx(16.0**2, rel=0.5)
 
 
-def test_descent_step_zero_time():
-    spec = make_kernel(2, 2)
-    config, _ = initial_configuration(spec, 6, mode="centers")
-    out = descent_step(config, 0.0)
-    assert np.array_equal(out.coords, config.coords)
-
-
-def test_descent_step_fixed_point_at_design():
-    spec = make_kernel(2, 1)
-    config = Configuration(spec, np.array([[0.0, 0, 1], [0.0, 0, -1]]))
-    out = descent_step(config, 0.5)
-    assert np.array_equal(out.coords, config.coords)
-
-
-def test_descent_step_decreases_energy():
-    spec = make_kernel(2, 1)
-    config = Configuration(spec, np.array([[1.0, 0, 0], [0.0, 1, 0]]))
-    before = energy(config)
-    after = energy(descent_step(config, 1e-3))
-    assert after < before
-
-
-def test_descent_step_rejects_negative_time():
-    spec = make_kernel(2, 1)
-    config = Configuration(spec, np.array([[1.0, 0, 0], [0.0, 1, 0]]))
-    with pytest.raises(ValueError):
-        descent_step(config, -1.0)
-
-
 def test_descent_velocities_match_energy_gradient():
     # independent derivations: the Gram-form field gradient against
     # -(N/2) times the energy gradient on the zonal-span rule
@@ -118,10 +94,11 @@ def test_descent_velocities_match_energy_gradient():
         config = Configuration(spec, X)
         velocities = descent_velocities(config)
         grads = energy_gradient(config)
+        assert velocities.shape == grads.shape == X.shape
         for v, g in zip(velocities, grads):
-            expected = -(config.N / 2.0) * g.dir
+            expected = -(config.N / 2.0) * g
             scale = max(np.linalg.norm(expected), 1e-30)
-            assert np.max(np.abs(v.dir - expected)) <= 1e-12 * scale, d
+            assert np.max(np.abs(v - expected)) <= 1e-12 * scale, d
 
 
 def test_solve_two_points_reach_antipodal():
@@ -221,7 +198,7 @@ def test_solve_auto_step_seed_value(monkeypatch):
     _, report = solve(spec, config)
     assert 0.0 < report.step_trace[0] <= 1.0
     step0 = 1.0 / (3.0 * spec.gpp1 + spec.gp1)
-    expected = _geodesic_rows(X, solver._velocity_rows(spec, X), step0)
+    expected = _geodesic_rows(X, _steepest_velocities(spec, X), step0)
     assert np.array_equal(trials[0], X)
     assert np.max(np.abs(trials[1] - expected)) <= 1e-15
 
@@ -258,7 +235,7 @@ def test_energy_decrease_satisfies_armijo_condition():
     spec = make_kernel(2, 3)
     config, _ = initial_configuration(spec, 24, mode="random-in-region", seed=8)
     X = config.coords
-    V = solver._velocity_rows(spec, X)
+    V = _steepest_velocities(spec, X)
     S = float(np.sum(V * V))
     e0 = _energy_raw(spec, X)
     # a property of the curvature-certificate step, so the constant is 0.5
@@ -344,6 +321,6 @@ def test_solve_failed_line_search_restarts_from_steepest_descent(monkeypatch):
     assert len(trials) == 1 + report.iterations + 2 * limit
     X = final.coords
     step0 = 1.0 / (3.0 * spec.gpp1 + spec.gp1)
-    steepest = _geodesic_rows(X, solver._velocity_rows(spec, X), step0)
+    steepest = _geodesic_rows(X, _steepest_velocities(spec, X), step0)
     assert np.max(np.abs(trials[-limit] - steepest)) <= 1e-15
     assert np.max(np.abs(trials[-2 * limit] - steepest)) > 1e-3

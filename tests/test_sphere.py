@@ -6,40 +6,19 @@ from scipy.stats import kstest
 
 from designforge.sphere import (
     Partition,
-    TangentVector,
-    UnitPoint,
+    _geodesic_rows,
     cap_area_fraction,
     cap_colatitude,
     eq_partition,
-    geodesic_step,
-    normalize,
-    random_point,
     off_sphere_rows,
-    tangent_project,
+    tangent_rows,
 )
 
 
-def test_normalize_scaling():
-    p = normalize([2.0, 0.0, 0.0])
-    assert np.allclose(p.coords, [1.0, 0.0, 0.0])
-
-
-def test_normalize_symmetry():
-    p = normalize([1.0, 1.0, 0.0, 0.0])
-    r = math.sqrt(2.0) / 2.0
-    assert np.allclose(p.coords, [r, r, 0.0, 0.0])
-
-
-def test_normalize_rejects_zero():
-    with pytest.raises(ValueError, match="degenerate direction"):
-        normalize([0.0, 0.0, 0.0])
-
-
-def test_unit_point_validation():
-    with pytest.raises(ValueError):
-        UnitPoint(np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        UnitPoint(np.array([np.nan, 0.0, 0.0]))
+def _uniform_points(d, count, rng):
+    """count uniform points on S^d, drawn by the one-region partition's sampler."""
+    whole = eq_partition(d, 1).regions[0]
+    return np.stack([whole.sample(rng) for _ in range(count)])
 
 
 def test_off_sphere_rows_flags_non_finite_and_off_tolerance_rows():
@@ -51,97 +30,90 @@ def test_off_sphere_rows_flags_non_finite_and_off_tolerance_rows():
     assert off_sphere_rows(X).tolist() == [1, 2, 3]
 
 
-def test_tangent_project_removes_radial_part():
-    t = tangent_project(UnitPoint(np.array([1.0, 0, 0])), [1.0, 1.0, 0.0])
-    assert np.allclose(t.dir, [0.0, 1.0, 0.0])
+def test_tangent_rows_removes_radial_part():
+    out = tangent_rows(np.array([[1.0, 0, 0]]), np.array([[1.0, 1.0, 0.0]]))
+    assert np.allclose(out, [[0.0, 1.0, 0.0]])
 
 
-def test_tangent_project_purely_radial_gives_zero():
-    t = tangent_project(UnitPoint(np.array([0.0, 0, 1.0])), [0.0, 0.0, 5.0])
-    assert np.allclose(t.dir, 0.0)
+def test_tangent_rows_purely_radial_gives_zero():
+    out = tangent_rows(np.array([[0.0, 0, 1.0]]), np.array([[0.0, 0.0, 5.0]]))
+    assert np.allclose(out, 0.0)
 
 
-def test_tangent_project_keeps_tangential():
-    t = tangent_project(UnitPoint(np.array([1.0, 0, 0])), [0.0, 2.0, 3.0])
-    assert np.allclose(t.dir, [0.0, 2.0, 3.0])
+def test_tangent_rows_keeps_tangential():
+    out = tangent_rows(np.array([[1.0, 0, 0]]), np.array([[0.0, 2.0, 3.0]]))
+    assert np.allclose(out, [[0.0, 2.0, 3.0]])
 
 
-def test_tangent_project_idempotent():
+def test_tangent_rows_idempotent():
     rng = np.random.default_rng(3)
-    for _ in range(40):
-        x = random_point(3, rng)
-        v = rng.standard_normal(4)
-        once = tangent_project(x, v).dir
-        twice = tangent_project(x, once).dir
-        assert np.max(np.abs(once - twice)) <= 1e-14 * max(1.0, np.linalg.norm(once))
+    X = _uniform_points(3, 40, rng)
+    once = tangent_rows(X, rng.standard_normal((40, 4)))
+    twice = tangent_rows(X, once)
+    scale = np.maximum(1.0, np.linalg.norm(once, axis=1))
+    assert np.all(np.max(np.abs(once - twice), axis=1) <= 1e-14 * scale)
+    assert np.max(np.abs(np.einsum("ij,ij->i", once, X))) <= 1e-14
 
 
 def test_geodesic_quarter_circle():
-    x = UnitPoint(np.array([1.0, 0, 0]))
-    v = TangentVector(x, np.array([0.0, 1.0, 0]))
-    out = geodesic_step(x, v, math.pi / 2.0)
-    assert np.allclose(out.coords, [0.0, 1.0, 0.0], atol=1e-15)
+    out = _geodesic_rows(np.array([[1.0, 0, 0]]), np.array([[0.0, 1.0, 0]]), math.pi / 2.0)
+    assert np.allclose(out, [[0.0, 1.0, 0.0]], atol=1e-15)
 
 
 def test_geodesic_zero_time_identity():
     rng = np.random.default_rng(5)
-    x = random_point(2, rng)
-    v = tangent_project(x, rng.standard_normal(3))
-    out = geodesic_step(x, v, 0.0)
-    assert np.array_equal(out.coords, x.coords)
+    X = _uniform_points(2, 1, rng)
+    V = tangent_rows(X, rng.standard_normal((1, 3)))
+    assert np.array_equal(_geodesic_rows(X, V, 0.0), X)
+    # rows with zero velocity stay put at any time, as at a design
+    Y = _uniform_points(2, 10, rng)
+    assert np.array_equal(_geodesic_rows(Y, np.zeros_like(Y), 0.5), Y)
 
 
 def test_geodesic_arc_length_scaling():
     # speed 2 for time pi/4 -> arc pi/2
-    x = UnitPoint(np.array([1.0, 0, 0]))
-    v = TangentVector(x, np.array([0.0, 2.0, 0]))
-    out = geodesic_step(x, v, math.pi / 4.0)
-    assert np.allclose(out.coords, [0.0, 1.0, 0.0], atol=1e-15)
+    out = _geodesic_rows(np.array([[1.0, 0, 0]]), np.array([[0.0, 2.0, 0]]), math.pi / 4.0)
+    assert np.allclose(out, [[0.0, 1.0, 0.0]], atol=1e-15)
 
 
 def test_geodesic_preserves_unit_norm():
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        x = random_point(3, rng)
-        v = tangent_project(x, rng.standard_normal(4))
-        out = geodesic_step(x, v, rng.random() * 3.0)
-        assert abs(np.linalg.norm(out.coords) - 1.0) <= 1e-14
+    X = _uniform_points(3, 50, rng)
+    V = tangent_rows(X, rng.standard_normal((50, 4)))
+    for t in rng.random(5) * 3.0:
+        out = _geodesic_rows(X, V, t)
+        assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-14
 
 
 def test_geodesic_group_property():
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        x = random_point(2, rng)
-        v = tangent_project(x, rng.standard_normal(3))
-        w = v.norm
-        if w == 0.0:
-            continue
-        u = v.dir / w
-        t, s = 0.4, 0.9
-        mid = geodesic_step(x, v, t)
-        # velocity parallel-transported along the circle
-        vt = w * (-x.coords * math.sin(w * t) + u * math.cos(w * t))
-        two_leg = geodesic_step(mid, TangentVector(mid, vt), s)
-        direct = x.coords * math.cos(w * (t + s)) + u * math.sin(w * (t + s))
-        assert np.max(np.abs(two_leg.coords - direct)) <= 1e-12
+    X = _uniform_points(2, 20, rng)
+    V = tangent_rows(X, rng.standard_normal((20, 3)))
+    w = np.linalg.norm(V, axis=1)[:, None]
+    U = V / w
+    t, s = 0.4, 0.9
+    mid = _geodesic_rows(X, V, t)
+    # velocity parallel-transported along each circle
+    Vt = w * (-X * np.sin(w * t) + U * np.cos(w * t))
+    two_leg = _geodesic_rows(mid, Vt, s)
+    direct = X * np.cos(w * (t + s)) + U * np.sin(w * (t + s))
+    assert np.max(np.abs(two_leg - direct)) <= 1e-12
 
 
-def test_random_point_moment_bound():
-    rng = np.random.default_rng(123)
-    X = np.stack([random_point(2, rng).coords for _ in range(100_000)])
+def test_whole_sphere_sample_moment_bound():
+    X = _uniform_points(2, 100_000, np.random.default_rng(123))
     sigma = (1.0 / math.sqrt(3.0)) / math.sqrt(100_000)
     assert np.max(np.abs(X.mean(axis=0))) <= 4.0 * sigma
 
 
-def test_random_point_deterministic_under_seed():
-    a = np.stack([random_point(2, np.random.default_rng(7)).coords for _ in range(5)])
-    b = np.stack([random_point(2, np.random.default_rng(7)).coords for _ in range(5)])
+def test_whole_sphere_sample_deterministic_under_seed():
+    a = _uniform_points(2, 5, np.random.default_rng(7))
+    b = _uniform_points(2, 5, np.random.default_rng(7))
     assert np.array_equal(a, b)
 
 
-def test_random_point_circle_uniform_angle():
-    rng = np.random.default_rng(99)
-    X = np.stack([random_point(1, rng).coords for _ in range(10_000)])
+def test_whole_circle_sample_uniform_angle():
+    X = _uniform_points(1, 10_000, np.random.default_rng(99))
     angles = np.mod(np.arctan2(X[:, 1], X[:, 0]), 2.0 * math.pi)
     assert kstest(angles / (2.0 * math.pi), "uniform").pvalue > 0.01
 
@@ -219,14 +191,14 @@ def test_partition_norm_scaling_band(d):
 
 def test_region_center_polar_cap_is_pole():
     p = eq_partition(2, 10)
-    assert np.allclose(p.regions[0].center().coords, [0.0, 0.0, 1.0])
-    assert np.allclose(p.regions[p.N - 1].center().coords, [0.0, 0.0, -1.0])
+    assert np.allclose(p.regions[0].center(), [0.0, 0.0, 1.0])
+    assert np.allclose(p.regions[p.N - 1].center(), [0.0, 0.0, -1.0])
 
 
 def test_region_center_arc_midpoint():
     p = eq_partition(1, 4)
     c = p.regions[0].center()
-    assert np.allclose(c.coords, [math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)])
+    assert np.allclose(c, [math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)])
 
 
 def test_region_centers_are_members():
@@ -242,7 +214,7 @@ def test_region_sample_membership():
     for _ in range(10_000):
         i = int(rng.integers(p.N))
         x = p.regions[i].sample(rng)
-        assert p.regions[i].contains(x.coords)
+        assert p.regions[i].contains(x)
 
 
 def test_region_sample_membership_d3():
@@ -250,13 +222,13 @@ def test_region_sample_membership_d3():
     p = eq_partition(3, 40)
     for _ in range(2000):
         i = int(rng.integers(p.N))
-        assert p.regions[i].contains(p.regions[i].sample(rng).coords)
+        assert p.regions[i].contains(p.regions[i].sample(rng))
 
 
 def test_region_sample_deterministic():
     p = eq_partition(2, 12)
-    a = p.regions[5].sample(np.random.default_rng(4)).coords
-    b = p.regions[5].sample(np.random.default_rng(4)).coords
+    a = p.regions[5].sample(np.random.default_rng(4))
+    b = p.regions[5].sample(np.random.default_rng(4))
     assert np.array_equal(a, b)
 
 
@@ -264,8 +236,7 @@ def test_regions_cover_without_overlap():
     rng = np.random.default_rng(8)
     for d, N in ((1, 8), (2, 25), (3, 30)):
         p = eq_partition(d, N)
-        for _ in range(400):
-            x = random_point(d, rng).coords
+        for x in _uniform_points(d, 400, rng):
             owners = [i for i, r in enumerate(p.regions) if r.contains(x)]
             assert len(owners) == 1, (d, N, owners)
 

@@ -227,3 +227,17 @@ def test_verify_with_mz_end_to_end(tmp_path, capsys):
     expected = mz_check(X, eq_partition(2, 12), 5, trials=4, seed=0)
     assert mz["min_ratio"] == expected.min_ratio
     assert mz["max_ratio"] == expected.max_ratio
+
+
+def test_sampling_energy_check_holds_the_averaging_bound():
+    spec = make_kernel(2, 4)
+    partition = eq_partition(2, 50)
+    report = verifier.sampling_energy_check(spec, partition, trials=50, seed=0)
+    assert report.passed
+    assert report.mean_energy <= report.bound
+    # pinned, so that a change to the sampling path cannot move it unseen
+    assert report.mean_energy == pytest.approx(0.009393556490854424, rel=1e-12)
+    # two independent draws: the kernel's double integral is zero
+    assert abs(report.cross_mean) <= 4.0 * report.cross_stderr
+    with pytest.raises(ValueError):
+        verifier.sampling_energy_check(spec, partition, trials=49, seed=0)
