@@ -116,12 +116,20 @@ class QuadratureRings(NamedTuple):
     *axial[r]) at the half-step longitudes phi_j = (j + 1/2) 2 pi / L,
     each of weight weight[r].  Expanded with longitude innermost, the rings
     give the nodes of `sphere_quadrature_grid` in its order.
+
+    levels[i] holds the Gauss nodes t of axial level i, outermost first:
+    on S^d, level 0 is the last coordinate x_d = t, and each ring point is
+    (sqrt(1 - t^2) y', t) with y' a ring point of the level below on
+    S^(d-1).  The rings run over the levels' product in row-major order, so
+    ring (i_0, ..., i_(d-2)) has radius prod_j sqrt(1 - levels[j][i_j]^2).
+    On S^1 there are no levels.
     """
 
     axial: np.ndarray   # (R, d - 1) coordinates 2..d of each ring
     radius: np.ndarray  # (R,) radius of each ring in the (x0, x1) plane
     weight: np.ndarray  # (R,) weight of each node on the ring
     L: int              # longitudes per ring
+    levels: tuple       # d - 1 arrays of Gauss nodes t, outermost level first
 
 
 def quadrature_rings(d, min_nodes=1_000_000, min_longitudes=1):
@@ -136,7 +144,7 @@ def quadrature_rings(d, min_nodes=1_000_000, min_longitudes=1):
     """
     if d == 1:
         L = max(int(min_nodes), min_longitudes)
-        return QuadratureRings(np.empty((1, 0)), np.ones(1), np.full(1, 1.0 / L), L)
+        return QuadratureRings(np.empty((1, 0)), np.ones(1), np.full(1, 1.0 / L), L, ())
     na = max(2, round(min_nodes ** (1.0 / d)))
     na += na**d < min_nodes
     t, wt = roots_gegenbauer(na, (d - 1) / 2.0)
@@ -145,7 +153,8 @@ def quadrature_rings(d, min_nodes=1_000_000, min_longitudes=1):
     s = np.repeat(np.sqrt(1.0 - t * t), S)
     axial = np.column_stack([s[:, None] * np.tile(sub.axial, (na, 1)), np.repeat(t, S)])
     weight = np.repeat(wt / wt.sum(), S) * np.tile(sub.weight, na)
-    return QuadratureRings(axial, s * np.tile(sub.radius, na), weight, sub.L)
+    return QuadratureRings(axial, s * np.tile(sub.radius, na), weight, sub.L,
+                           (t,) + sub.levels)
 
 
 def _ring_points(rings, phi):

@@ -5,15 +5,16 @@ target degree are averaged over the points and compared against exact
 closed-form sphere integrals computed in rational arithmetic.
 
 The module also validates the two-sided L1 sampling inequality
-(Marcinkiewicz-Zygmund) against a dense product quadrature grid, built by
-`sphere.quadrature_rings` and imported back here with its helpers.  The
-grid is a stack of rings: on each, the nodes share every coordinate but
-the first two, (x0, x1) = r (cos phi, sin phi), at L equispaced
-half-step longitudes.  A polynomial of degree <= m restricted to a ring
-is a trigonometric polynomial of degree <= m in phi, so its values at all
-L nodes follow exactly from 2m+1 equispaced samples (an rfft, a phase
-shift, a zero-padded irfft) whenever L >= 2m+1.  The reference integral
-of |P| therefore costs R (2m+1) evaluations of P plus FFTs, not R L.
+(Marcinkiewicz-Zygmund) against a dense product quadrature grid built by
+`sphere.quadrature_rings`: rings of L equispaced longitudes phi, stacked
+in nested colatitudes, a point being (sin theta y', cos theta) with y' a
+point one sphere down.  Every coordinate is a product of one cos or sin
+per angle, so a polynomial of degree <= m is a trigonometric polynomial of
+degree <= m in each angle separately, fixed exactly by its values on the
+torus of 2m+1 equispaced angles per axis.  `ring_values` resamples those
+values to the grid, so the reference integral of |P| costs (2m+1)^d
+evaluations of P plus one small interpolation matrix per axial level and
+FFTs along the rings, not one evaluation per node.
 
 Finally the averaging bound used to seed the solver is checked by Monte
 Carlo over in-region sampling.
@@ -29,7 +30,6 @@ import numpy as np
 from .kernel import _energy_raw, gw_eval, make_kernel
 from .sphere import (
     UNIT_TOL,
-    _ring_points,
     as_coords,
     off_sphere_rows,
     quadrature_rings,
@@ -135,19 +135,46 @@ def is_design(points, n, tol):
 def ring_values(evaluate, rings, m):
     """Values (R, L) of a degree-<=m polynomial at every node of the rings.
 
-    On a ring, P is a trigonometric polynomial of degree <= m in longitude,
-    so its 2m+1 samples at psi_k = 2 pi k / (2m+1) fix it: rfft gives its
-    Fourier coefficients c_k, k = 0..m, a phase e^(i k pi / L) moves them
-    to the half-step grid, and a zero-padded irfft of length L >= 2m+1
-    returns P at all L longitudes.  Only R (2m+1) points are evaluated.
+    The rings are nested: y = (sin theta y', cos theta) with y' a ring
+    point one sphere down, ending in (x0, x1) = (cos phi, sin phi).  Each
+    coordinate of y is a product of one cos or sin per angle, so P is a
+    trigonometric polynomial of degree <= m in each angle separately, fixed
+    by its values on the torus of K = 2m+1 equispaced angles
+    psi_k = 2 pi k / K per axis.  Those (2m+1)^d values are the only
+    evaluations of P.  One (n_a, K) trigonometric-interpolation matrix per
+    axial level moves that level's angle from psi to its Gauss colatitudes
+    arccos t, which leaves P at the K longitudes psi on every ring.  Then
+    rfft gives each ring's Fourier coefficients c_k, k = 0..m, a phase
+    e^(i k pi / L) moves them to the half-step grid, and a zero-padded irfft
+    of length L >= 2m+1 returns P at all L longitudes.  Each step is exact
+    for trigonometric degree <= m, so the result is P at the nodes up to
+    rounding.
     """
     K = 2 * m + 1
     L = rings.L
     if L < K:
         raise ValueError(f"rings need at least {K} longitudes for degree {m}")
     psi = np.arange(K) * (2.0 * math.pi / K)
-    samples = evaluate(_ring_points(rings, psi)).reshape(-1, K)
-    coeffs = np.fft.rfft(samples, axis=1)
+    cos, sin = np.cos(psi), np.sin(psi)
+    torus = np.column_stack([cos, sin])
+    for _ in rings.levels:
+        # one more angle, outermost: (sin theta y', cos theta)
+        torus = np.concatenate([
+            sin[:, None, None] * torus,
+            np.broadcast_to(cos[:, None, None], (K, torus.shape[0], 1)),
+        ], axis=2).reshape(-1, torus.shape[1] + 1)
+    samples = evaluate(torus)
+    for t in rings.levels:
+        # the Dirichlet kernel sin(K x / 2) / (K sin(x / 2)) at x = theta - psi_k
+        # interpolates the leading angle to the level's colatitudes theta;
+        # the new ring axis then moves to the back, and the angle of the
+        # level below leads
+        half = 0.5 * (np.arccos(t)[:, None] - psi)
+        den = K * np.sin(half)
+        interp = np.divide(np.sin(K * half), den, out=np.ones_like(den), where=den != 0.0)
+        samples = (interp @ samples.reshape(K, -1)).T
+    # the longitude axis now leads, and the rings follow in their order
+    coeffs = np.fft.rfft(samples.reshape(K, -1).T, axis=1)
     coeffs *= (L / K) * np.exp(1j * (math.pi / L) * np.arange(m + 1))
     return np.fft.irfft(coeffs, n=L, axis=1)
 
@@ -184,19 +211,24 @@ def mz_check(points, partition, m, trials=100, seed=0, min_nodes=1_000_000):
     Trials alternate between random kernel-span combinations and random
     monomial mixtures.  The reference integral is the dense product grid
     of `quadrature_rings`, consistency-checked against a coarser grid on
-    the first two trials.  Both grids are integrated ring by ring: each
-    trial polynomial is evaluated at 2m+1 longitudes per ring and resampled
-    to the ring's L longitudes by `ring_values`, which is exact because P
-    has degree <= m in longitude (each grid has L >= 2m+1, raised if need
-    be, so nothing aliases).  The discrete mean is evaluated directly on
-    the points.  A non-finite ratio fails the check.
+    the first two trials.  Both grids are integrated ring by ring from
+    `ring_values`: (2m+1)^d evaluations of each trial polynomial on the
+    torus of equispaced angles, plus one small interpolation matrix per
+    axial level and the FFTs along the rings.  That resampling is exact
+    because P has degree <= m in each nested angle (each grid has
+    L >= 2m+1, raised if need be, so nothing aliases).  The discrete mean
+    is evaluated directly on the points.  A non-finite ratio fails the
+    check.  Non-finite or non-unit rows, and a partition of another
+    dimension or region count than the points, raise ValueError.
     """
     X = as_coords(points)
     d = X.shape[1] - 1
-    if not np.all(np.isfinite(X)):
-        raise ValueError("points must be finite")
+    if off_sphere_rows(X).size:
+        raise ValueError(f"points must be finite unit vectors ({UNIT_TOL:g})")
     if partition is not None and partition.d != d:
         raise ValueError("partition dimension does not match the points")
+    if partition is not None and partition.N != X.shape[0]:
+        raise ValueError("partition region count does not match the points")
     if m < 1:
         raise ValueError("polynomial degree m must be >= 1")
     if trials < 1:

@@ -29,6 +29,11 @@ def octahedron():
     return cross_polytope(2)
 
 
+def cube():
+    """The 8 vertices (+-1, +-1, +-1)/sqrt(3): a 3-design on S^2, not a 4-design."""
+    return unit_rows(list(itertools.product((-1.0, 1.0), repeat=3)))
+
+
 def icosahedron():
     """The 12 vertices of the icosahedron: a 5-design on S^2."""
     rows = []

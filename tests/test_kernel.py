@@ -32,6 +32,7 @@ from designforge.sphere import _geodesic_rows, tangent_rows
 from designforge.verifier import sphere_quadrature_grid
 from exact_designs import (
     cross_polytope,
+    cube,
     e8_roots,
     icosahedron,
     octahedron,
@@ -495,6 +496,7 @@ def test_e8_roots_have_zero_energy_on_the_sampled_rule():
 EXACT_DESIGNS = [
     (lambda: polygon(12), 11),
     (octahedron, 3),
+    (cube, 3),
     (icosahedron, 5),
     (six_hundred_cell, 11),
     (lambda: cross_polytope(4), 3),

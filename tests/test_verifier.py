@@ -1,6 +1,7 @@
 """Tests of the independent certification routes: monomial averages,
 exact designs, and the ring-resampled Marcinkiewicz-Zygmund check."""
 
+import itertools
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from designforge.verifier import (
     ring_values,
     sphere_quadrature_grid,
 )
-from exact_designs import icosahedron, octahedron, polygon, six_hundred_cell, unit_rows
+from exact_designs import cube, icosahedron, octahedron, polygon, six_hundred_cell, unit_rows
 
 
 def _trial(d, m, kind, seed):
@@ -31,7 +32,8 @@ def _trial(d, m, kind, seed):
 
 # -- ring form of the reference grid ----
 
-GRID_CASES = [(1, 5_000, 12), (2, 10_000, 9), (3, 27_000, 6)]
+# (2, 441, 10) has L = 21 = 2m+1 longitudes, the fewest ring_values accepts
+GRID_CASES = [(1, 5_000, 12), (2, 10_000, 9), (3, 27_000, 6), (3, 30_000, 12), (2, 441, 10)]
 
 
 @pytest.mark.parametrize("d,min_nodes,m", GRID_CASES)
@@ -46,6 +48,34 @@ def test_ring_values_match_direct_evaluation(d, min_nodes, m, kind):
     assert resampled.size == pts.shape[0]
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(resampled.ravel() - direct)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d,min_nodes,m", GRID_CASES)
+def test_ring_values_evaluate_only_the_torus(d, min_nodes, m):
+    evaluate = _trial(d, m, "kernel", [d, m])
+    rows = []
+
+    def counted(Y):
+        rows.append(Y.shape[0])
+        return evaluate(Y)
+
+    ring_values(counted, quadrature_rings(d, min_nodes), m)
+    assert rows == [(2 * m + 1) ** d]
+
+
+@pytest.mark.parametrize("d,min_nodes", [(1, 100), (2, 10_000), (3, 27_000), (4, 20_000)])
+def test_levels_reproduce_the_rings(d, min_nodes):
+    rings = quadrature_rings(d, min_nodes)
+    assert len(rings.levels) == d - 1
+    # ring (i_0, ..., i_(d-2)): x_(d-j) = t_j prod_(l<j) sqrt(1 - t_l^2),
+    # and the radius is the product over every level
+    T = np.array(list(itertools.product(*rings.levels)))
+    assert T.shape[0] == rings.radius.size
+    scale = np.ones(T.shape[0])
+    for j in range(d - 1):
+        np.testing.assert_allclose(rings.axial[:, d - 2 - j], scale * T[:, j], rtol=0, atol=1e-15)
+        scale = scale * np.sqrt(1.0 - T[:, j] ** 2)
+    np.testing.assert_allclose(rings.radius, scale, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("d,min_nodes", [case[:2] for case in GRID_CASES])
@@ -118,6 +148,23 @@ def test_mz_rejects_non_finite_points():
         mz_check(Y, None, 2, trials=2, min_nodes=10_000)
 
 
+def test_mz_rejects_non_unit_rows():
+    # scaled rows used to pass, with ratios of 1.47-2.22 reported
+    with pytest.raises(ValueError):
+        mz_check(2.0 * icosahedron(), None, 2, trials=2, min_nodes=10_000)
+    X = icosahedron()
+    X[5] *= 1.0 + 1e-10
+    with pytest.raises(ValueError):
+        mz_check(X, None, 2, trials=2, min_nodes=10_000)
+
+
+def test_mz_rejects_a_partition_of_another_size():
+    with pytest.raises(ValueError):
+        mz_check(icosahedron(), eq_partition(2, 50), 2, trials=2, min_nodes=10_000)
+    with pytest.raises(ValueError):
+        mz_check(icosahedron(), eq_partition(3, 12), 2, trials=2, min_nodes=10_000)
+
+
 def test_mz_non_finite_ratio_fails(monkeypatch):
     # the zero polynomial has reference 0 and ratio 0/0: a failure, not a pass
     def zero(*args, **kwargs):
@@ -188,6 +235,7 @@ def test_monomial_sphere_integral_rejects_bad_exponents():
 @pytest.mark.parametrize("design,strength", [
     (lambda: polygon(7), 6),
     (octahedron, 3),
+    (cube, 3),
     (icosahedron, 5),
     (six_hundred_cell, 11),
 ])
