@@ -336,7 +336,7 @@ def cmd_generate(args, parser):
     verification = None
     if report.terminated == "converged":
         mz = None
-        if args.d <= MAX_MZ_DIM:
+        if args.d <= MAX_MZ_DIM and 2 * args.n <= MAX_DEGREE:
             mz = mz_check(final.coords, partition, 2 * args.n,
                           trials=_MZ_PIPELINE_TRIALS, seed=args.seed)
         residual = design_residual(final)

@@ -13,6 +13,7 @@ exact products of cap-area differences, and region diameters admit
 analytic upper bounds (tight for caps and full bands).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -132,6 +133,7 @@ class QuadratureRings(NamedTuple):
     levels: tuple       # d - 1 arrays of Gauss nodes t, outermost level first
 
 
+@functools.lru_cache(maxsize=16)
 def quadrature_rings(d, min_nodes=1_000_000, min_longitudes=1):
     """Ring form of the product rule on S^d; the weights sum to 1.
 
@@ -141,20 +143,29 @@ def quadrature_rings(d, min_nodes=1_000_000, min_longitudes=1):
     na^d >= min_nodes, and each carries the S^(d-1) rule for na^(d-1) nodes
     scaled by sqrt(1 - t^2).  The rule integrates every polynomial of degree
     <= min(2 na - 1, L - 1) exactly.
+
+    Built once per process and argument triple: the cache holds the fine
+    and coarse grids of an MZ check on S^1..S^3 with their sub-rules (12
+    entries), so the Gauss nodes are not rebuilt per call.  The arrays are
+    read-only, so no caller can change a cached rule.
     """
     if d == 1:
         L = max(int(min_nodes), min_longitudes)
-        return QuadratureRings(np.empty((1, 0)), np.ones(1), np.full(1, 1.0 / L), L, ())
-    na = max(2, round(min_nodes ** (1.0 / d)))
-    na += na**d < min_nodes
-    t, wt = roots_gegenbauer(na, (d - 1) / 2.0)
-    sub = quadrature_rings(d - 1, na ** (d - 1), min_longitudes)
-    S = sub.radius.size
-    s = np.repeat(np.sqrt(1.0 - t * t), S)
-    axial = np.column_stack([s[:, None] * np.tile(sub.axial, (na, 1)), np.repeat(t, S)])
-    weight = np.repeat(wt / wt.sum(), S) * np.tile(sub.weight, na)
-    return QuadratureRings(axial, s * np.tile(sub.radius, na), weight, sub.L,
-                           (t,) + sub.levels)
+        rings = QuadratureRings(np.empty((1, 0)), np.ones(1), np.full(1, 1.0 / L), L, ())
+    else:
+        na = max(2, round(min_nodes ** (1.0 / d)))
+        na += na**d < min_nodes
+        t, wt = roots_gegenbauer(na, (d - 1) / 2.0)
+        sub = quadrature_rings(d - 1, na ** (d - 1), min_longitudes)
+        S = sub.radius.size
+        s = np.repeat(np.sqrt(1.0 - t * t), S)
+        axial = np.column_stack([s[:, None] * np.tile(sub.axial, (na, 1)), np.repeat(t, S)])
+        weight = np.repeat(wt / wt.sum(), S) * np.tile(sub.weight, na)
+        rings = QuadratureRings(axial, s * np.tile(sub.radius, na), weight, sub.L,
+                                (t,) + sub.levels)
+    for a in (rings.axial, rings.radius, rings.weight, *rings.levels):
+        a.setflags(write=False)
+    return rings
 
 
 def _ring_points(rings, phi):

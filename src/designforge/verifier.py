@@ -11,10 +11,14 @@ in nested colatitudes, a point being (sin theta y', cos theta) with y' a
 point one sphere down.  Every coordinate is a product of one cos or sin
 per angle, so a polynomial of degree <= m is a trigonometric polynomial of
 degree <= m in each angle separately, fixed exactly by its values on the
-torus of 2m+1 equispaced angles per axis.  `ring_values` resamples those
-values to the grid, so the reference integral of |P| costs (2m+1)^d
-evaluations of P plus one small interpolation matrix per axial level and
-FFTs along the rings, not one evaluation per node.
+torus of 2m+1 equispaced angles per axis.  Those values give each ring's
+m+1 Fourier coefficients in longitude (one small interpolation matrix per
+axial level, then an rfft of length 2m+1).  Each ring is then cut into
+arcs of B longitudes, and P on a block of arcs is one real matmul of their
+turned coefficients against a fixed (2(m+1), B) table of cos and sin, so
+the reference integral of |P| costs (2m+1)^d evaluations of P and 2(m+1)
+multiply-adds per node, and holds P at one block of about 2^16 nodes at a
+time.
 
 Finally the averaging bound used to seed the solver is checked by Monte
 Carlo over in-region sampling.
@@ -27,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import _energy_raw, gw_eval, make_kernel
+from .gegenbauer import MAX_DEGREE
+from .kernel import _BLOCK_DOUBLES, _energy_raw, gw_eval, make_kernel
 from .sphere import (
     UNIT_TOL,
     as_coords,
@@ -132,8 +137,8 @@ def is_design(points, n, tol):
     return worst <= tol, worst, witness
 
 
-def ring_values(evaluate, rings, m):
-    """Values (R, L) of a degree-<=m polynomial at every node of the rings.
+def _ring_coefficients(evaluate, rings, m):
+    """Fourier coefficients c_k, k = 0..m, of P along every ring: (R, m+1).
 
     The rings are nested: y = (sin theta y', cos theta) with y' a ring
     point one sphere down, ending in (x0, x1) = (cos phi, sin phi).  Each
@@ -143,17 +148,11 @@ def ring_values(evaluate, rings, m):
     psi_k = 2 pi k / K per axis.  Those (2m+1)^d values are the only
     evaluations of P.  One (n_a, K) trigonometric-interpolation matrix per
     axial level moves that level's angle from psi to its Gauss colatitudes
-    arccos t, which leaves P at the K longitudes psi on every ring.  Then
-    rfft gives each ring's Fourier coefficients c_k, k = 0..m, a phase
-    e^(i k pi / L) moves them to the half-step grid, and a zero-padded irfft
-    of length L >= 2m+1 returns P at all L longitudes.  Each step is exact
-    for trigonometric degree <= m, so the result is P at the nodes up to
-    rounding.
+    arccos t, which leaves P at the K longitudes psi on every ring, and an
+    rfft of length K gives c_k with
+    P(phi) = (1/K) (c_0 + 2 Re sum_{k=1..m} c_k e^(i k phi)).
     """
     K = 2 * m + 1
-    L = rings.L
-    if L < K:
-        raise ValueError(f"rings need at least {K} longitudes for degree {m}")
     psi = np.arange(K) * (2.0 * math.pi / K)
     cos, sin = np.cos(psi), np.sin(psi)
     torus = np.column_stack([cos, sin])
@@ -174,14 +173,94 @@ def ring_values(evaluate, rings, m):
         interp = np.divide(np.sin(K * half), den, out=np.ones_like(den), where=den != 0.0)
         samples = (interp @ samples.reshape(K, -1)).T
     # the longitude axis now leads, and the rings follow in their order
-    coeffs = np.fft.rfft(samples.reshape(K, -1).T, axis=1)
-    coeffs *= (L / K) * np.exp(1j * (math.pi / L) * np.arange(m + 1))
-    return np.fft.irfft(coeffs, n=L, axis=1)
+    return np.fft.rfft(samples.reshape(K, -1).T, axis=1)
+
+
+def _half_angles(p, k, L):
+    """The angles p_i k_j pi / L, (len(p), len(k)), reduced mod 2 pi in integers."""
+    return (math.pi / L) * (np.outer(p, k) % (2 * L))
+
+
+def _arc_width(L, m):
+    """Longitudes B per arc: the most that keeps the (2(m+1), B) table
+    within _BLOCK_DOUBLES, and at most the ring."""
+    return min(L, max(1, _BLOCK_DOUBLES // (2 * (m + 1))))
+
+
+def _arc_blocks(evaluate, rings, m):
+    """P at the rings' nodes, one block of arcs at a time.
+
+    Node j of a ring sits at phi_j = (j + 1/2) 2 pi / L.  Each ring is cut
+    into arcs of B longitudes; arc a starts at node aB, and the short last
+    arc runs past L when B does not divide L.  On arc a a ring's
+    coefficients c_k are turned by e^(i k aB 2 pi / L) and stored as
+    interleaved (Re, Im) pairs.  The table holds s_k cos(k phi_b) and
+    -s_k sin(k phi_b) for b < B in the same interleaving, s_0 = 1/K and
+    s_k = 2/K, so one turned row times the table is P at the arc's B nodes:
+    2(m+1) multiply-adds per node.  A block is a run of whole arcs times
+    all rings, or one arc times a run of rings, with its product of about
+    _BLOCK_DOUBLES values (`_arc_width` bounds the table the same way).
+    Yields (first arc, first ring, block), the block shaped (arcs, rings,
+    B); the nodes past L are left to the caller.
+    """
+    L = rings.L
+    R = rings.radius.size
+    c = _ring_coefficients(evaluate, rings, m)
+    k = np.arange(m + 1)
+    B = _arc_width(L, m)
+    arcs = -(-L // B)
+    angle = _half_angles(k, 2 * np.arange(B) + 1, L)
+    scale = np.where(k == 0, 1.0, 2.0)[:, None] / (2 * m + 1)
+    table = np.stack([scale * np.cos(angle), -scale * np.sin(angle)], axis=1).reshape(2 * (m + 1), B)
+    step = max(1, _BLOCK_DOUBLES // B)
+    arcs_per, rings_per = (step // R, R) if R <= step else (1, step)
+    # the turn of arc a0 + j is that of a0 times that of j
+    turns = np.exp(1j * _half_angles(2 * B * np.arange(arcs_per), k, L))
+    for a0 in range(0, arcs, arcs_per):
+        turn = np.exp(1j * _half_angles([2 * B * a0], k, L)) * turns[:arcs - a0]
+        for r0 in range(0, R, rings_per):
+            turned = np.multiply(turn[:, None, :], c[None, r0:r0 + rings_per], order="C")
+            block = turned.view(np.float64).reshape(-1, 2 * (m + 1)) @ table
+            yield a0, r0, block.reshape(turned.shape[0], turned.shape[1], B)
+
+
+def ring_values(evaluate, rings, m):
+    """Values (R, L) of a degree-<=m polynomial at every node of the rings.
+
+    The same route as `_ring_abs_integral`: each ring's Fourier
+    coefficients from the torus (`_ring_coefficients`), then one real
+    matmul against the cos/sin table per block of arcs (`_arc_blocks`),
+    whose blocks are assembled here.  Each step is exact for trigonometric
+    degree <= m, so the result is P at the nodes up to rounding.  Needs
+    L >= 2m+1, so that the nodes determine P on every ring.
+    """
+    L = rings.L
+    if L < 2 * m + 1:
+        raise ValueError(f"rings need at least {2 * m + 1} longitudes for degree {m}")
+    R = rings.radius.size
+    B = _arc_width(L, m)
+    values = np.empty((R, -(-L // B), B))
+    for a0, r0, block in _arc_blocks(evaluate, rings, m):
+        values[r0:r0 + block.shape[1], a0:a0 + block.shape[0]] = block.transpose(1, 0, 2)
+    return values.reshape(R, -1)[:, :L]
 
 
 def _ring_abs_integral(evaluate, rings, m):
-    """Quadrature of |P| over the rings' nodes."""
-    return float(rings.weight @ np.abs(ring_values(evaluate, rings, m)).sum(axis=1))
+    """Quadrature of |P| over the rings' nodes, block by block.
+
+    P is never held at all R L nodes: each block of arcs is one matmul of
+    about _BLOCK_DOUBLES values (`_arc_blocks`), whose |.| and weighted
+    sums are taken before the next block is formed.
+    """
+    L = rings.L
+    B = _arc_width(L, m)
+    total = 0.0
+    for a0, r0, block in _arc_blocks(evaluate, rings, m):
+        np.abs(block, out=block)
+        # the short last arc, arc L // B when B does not divide L, ends at node L
+        block[L // B - a0:, :, L % B:] = 0.0
+        total += rings.weight[r0:r0 + block.shape[1]] @ block.sum(axis=(0, 2))
+    return float(total)
 
 
 @dataclass
@@ -211,15 +290,18 @@ def mz_check(points, partition, m, trials=100, seed=0, min_nodes=1_000_000):
     Trials alternate between random kernel-span combinations and random
     monomial mixtures.  The reference integral is the dense product grid
     of `quadrature_rings`, consistency-checked against a coarser grid on
-    the first two trials.  Both grids are integrated ring by ring from
-    `ring_values`: (2m+1)^d evaluations of each trial polynomial on the
-    torus of equispaced angles, plus one small interpolation matrix per
-    axial level and the FFTs along the rings.  That resampling is exact
+    the first two trials.  Both grids are integrated by
+    `_ring_abs_integral`: (2m+1)^d evaluations of each trial polynomial on
+    the torus of equispaced angles give every ring's Fourier coefficients,
+    and |P| is summed over arcs of B longitudes, one cos/sin-table matmul
+    per block of arcs (2(m+1) multiply-adds per node).  That route is exact
     because P has degree <= m in each nested angle (each grid has
     L >= 2m+1, raised if need be, so nothing aliases).  The discrete mean
     is evaluated directly on the points.  A non-finite ratio fails the
-    check.  Non-finite or non-unit rows, and a partition of another
-    dimension or region count than the points, raise ValueError.
+    check.  Non-finite or non-unit rows, a partition of another dimension
+    or region count than the points, and m outside 1..MAX_DEGREE (the
+    kernel-span trials need `make_kernel(d, m)`) raise ValueError before
+    any grid is built.
     """
     X = as_coords(points)
     d = X.shape[1] - 1
@@ -229,8 +311,8 @@ def mz_check(points, partition, m, trials=100, seed=0, min_nodes=1_000_000):
         raise ValueError("partition dimension does not match the points")
     if partition is not None and partition.N != X.shape[0]:
         raise ValueError("partition region count does not match the points")
-    if m < 1:
-        raise ValueError("polynomial degree m must be >= 1")
+    if not 1 <= m <= MAX_DEGREE:
+        raise ValueError(f"polynomial degree m must be in 1..{MAX_DEGREE}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rings = quadrature_rings(d, min_nodes, 2 * m + 1)

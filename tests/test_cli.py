@@ -265,6 +265,20 @@ def test_generate_in_high_dimension_converges(tmp_path, capsys):
     assert doc["verification"]["pass"] is True
 
 
+def test_generate_above_half_the_max_degree_skips_the_mz_check(tmp_path, capsys):
+    # the MZ check runs at degree 2n; at n = 101 that is past MAX_DEGREE, and
+    # generate used to end in a traceback after the solve had converged
+    out = tmp_path / "hs.json"
+    argv = ["generate", "-d", "1", "-n", str(MAX_DEGREE // 2 + 1), "-N", "auto",
+            "--seed", "1", "--no-timestamp", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["solve"]["terminated"] == "converged"
+    assert doc["verification"]["pass"] is True
+    assert "mz" not in doc["verification"]
+    assert out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "-d", "12", "-n", "5", "-N", "auto", "-o", "unused.json"],
     ["study", "-d", "7", "--n", "6..7", "--N-rule", "2*(n+1)^2", "-o", "unused.json"],

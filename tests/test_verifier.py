@@ -3,6 +3,7 @@ exact designs, and the ring-resampled Marcinkiewicz-Zygmund check."""
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ def _trial(d, m, kind, seed):
 
 # -- ring form of the reference grid ----
 
-# (2, 441, 10) has L = 21 = 2m+1 longitudes, the fewest ring_values accepts
-GRID_CASES = [(1, 5_000, 12), (2, 10_000, 9), (3, 27_000, 6), (3, 30_000, 12), (2, 441, 10)]
+# (2, 441, 10) and (1, 25, 12) have L = 2m+1 longitudes, the fewest ring_values
+# accepts; the prime L = 99 991 cuts S^1's ring into arcs with a short last one
+GRID_CASES = [(1, 5_000, 12), (2, 10_000, 9), (3, 27_000, 6), (3, 30_000, 12), (2, 441, 10),
+              (1, 25, 12), (1, 99_991, 12)]
 
 
 @pytest.mark.parametrize("d,min_nodes,m", GRID_CASES)
@@ -48,6 +51,47 @@ def test_ring_values_match_direct_evaluation(d, min_nodes, m, kind):
     assert resampled.size == pts.shape[0]
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(resampled.ravel() - direct)) <= 1e-12 * scale
+    integral = verifier._ring_abs_integral(evaluate, rings, m)
+    assert integral == pytest.approx(float(w @ np.abs(direct)), rel=1e-12)
+
+
+@pytest.mark.parametrize("d,min_nodes,m", GRID_CASES)
+def test_short_arcs_match_direct_evaluation(d, min_nodes, m, monkeypatch):
+    # 2^8 doubles cuts every ring of these grids into arcs, with a short last
+    # arc wherever B does not divide L, and puts several rings in a block
+    monkeypatch.setattr(verifier, "_BLOCK_DOUBLES", 1 << 8)
+    evaluate = _trial(d, m, "kernel", [d, m, 1])
+    rings = quadrature_rings(d, min_nodes)
+    pts, w = sphere_quadrature_grid(d, min_nodes)
+    direct = evaluate(pts)
+    assert verifier._arc_width(rings.L, m) < rings.L
+    resampled = ring_values(evaluate, rings, m)
+    assert np.max(np.abs(resampled.ravel() - direct)) <= 1e-12 * np.max(np.abs(direct))
+    integral = verifier._ring_abs_integral(evaluate, rings, m)
+    assert integral == pytest.approx(float(w @ np.abs(direct)), rel=1e-12)
+
+
+@pytest.mark.parametrize("d,m", [(1, 16), (2, 10), (3, 6)])
+def test_ring_abs_integral_holds_no_full_grid_array(d, m):
+    # the degrees of the generate-mz jobs; one (R, L) array of these 10^6-node
+    # grids is 7.6 MiB, so a peak under 5 MiB means none was formed
+    rings = quadrature_rings(d, 1_000_000, 2 * m + 1)
+    evaluate = _trial(d, m, "kernel", [d, m])
+    tracemalloc.start()
+    try:
+        verifier._ring_abs_integral(evaluate, rings, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
+
+
+def test_quadrature_rings_are_cached_and_read_only():
+    rings = quadrature_rings(2, 10_000, 21)
+    assert quadrature_rings(2, 10_000, 21) is rings
+    for a in (rings.axial, rings.radius, rings.weight, *rings.levels):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 @pytest.mark.parametrize("d,min_nodes,m", GRID_CASES)
