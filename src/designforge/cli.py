@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .gegenbauer import MAX_DEGREE
 from .kernel import (
-    Configuration,
     design_residual,
     energy_rule_size,
     gw_d1,
@@ -263,10 +262,8 @@ def eval_count_rule(expr, n):
 def _parse_n_range(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    return values
+        return range(int(lo), int(hi) + 1)
+    return [int(v) for v in text.split(",") if v.strip()]
 
 
 # -- subcommands ----
@@ -339,7 +336,7 @@ def cmd_generate(args, parser):
         if args.d <= MAX_MZ_DIM and 2 * args.n <= MAX_DEGREE:
             mz = mz_check(final.coords, partition, 2 * args.n,
                           trials=_MZ_PIPELINE_TRIALS, seed=args.seed)
-        residual = design_residual(final)
+        residual = design_residual(spec, final.coords)
         verification = {"n": args.n, "N": chosen_N, "d": args.d, "residual": residual}
         if args.d <= MAX_MONOMIAL_DIM and args.n <= MAX_MONOMIAL_DEGREE:
             passed, worst, witness = is_design(final.coords, args.n, args.tol_monomial)
@@ -404,7 +401,7 @@ def cmd_verify(args, parser):
             )
     passed, worst, witness = is_design(X, args.n, args.tol)
     spec = make_kernel(d, args.n)
-    residual = design_residual(Configuration(spec, X))
+    residual = design_residual(spec, X)
     doc = {
         "n": args.n,
         "N": X.shape[0],

@@ -11,7 +11,7 @@ taken from its variational form instead: per degree, the squared norm of
 F_k(y) = (1/N) sum_i h_k(<x_i, y>), h_k = sqrt(w_k) lam_k C_k, read off the
 values of F_k at the M nodes of one zonal-span rule on every sphere (see
 `_energy_rule`).  Every term is a nonnegative square, so one float64 path
-resolves energies far below the 1e-24 achieved-zero threshold.  A call costs
+resolves the energy with no cancellation, however small it is.  A call costs
 O(N M n) time; it forms no (N, N) array, and apart from X and the gradient
 rows it holds a few (N, block) arrays, with the M nodes taken in blocks of
 block = 2^16 // N.  Each such array is then about 512 KiB, so the four the
@@ -39,7 +39,6 @@ from .gegenbauer import (
 )
 from .sphere import UNIT_TOL, as_coords, off_sphere_rows, tangent_rows
 
-ACHIEVED_ZERO = 1e-24
 # node block size of the field passes: N * block stays near this many doubles
 # (see the module docstring for why 2^16)
 _BLOCK_DOUBLES = 1 << 16
@@ -102,19 +101,6 @@ def make_kernel(d, n):
     return KernelSpec(d, n)
 
 
-def gp1_closed_form(d, n):
-    """Closed-form sum for g'(1): sum_k (2k+d-1) (k+d-2)! / (k! d!).
-
-    Independent of the coefficient route through lam_k; used to cross-check
-    KernelSpec.gp1.
-    """
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += Fraction((2 * k + d - 1) * math.factorial(k + d - 2),
-                          math.factorial(k) * math.factorial(d))
-    return float(total)
-
-
 def _eval_shifted(spec, t, shift):
     """sum_k lam_k * d^shift/dt^shift C_k^alpha(t), via the index shift."""
     t = clamp_unit(t)
@@ -145,11 +131,6 @@ def gw_d1(spec, t):
     return _eval_shifted(spec, t, 1)
 
 
-def gw_d2(spec, t):
-    """Second derivative g''(t), via the index-shift identity."""
-    return _eval_shifted(spec, t, 2)
-
-
 def hessian_step_bound(spec):
     """Curvature certificate (3 g''(1) + g'(1))^(1/2).
 
@@ -160,23 +141,20 @@ def hessian_step_bound(spec):
 
 
 class Configuration:
-    """N points on S^d tied to a KernelSpec."""
+    """N points on S^d tied to a KernelSpec: a validated, read-only copy of
+    the rows, kept as given, so its energy is that of the rows passed in."""
 
     def __init__(self, spec, points):
         self.spec = spec
-        X = as_coords(points)
+        X = as_coords(points).copy()
         if X.shape[1] != spec.d + 1:
             raise ValueError(f"points must have {spec.d + 1} coordinates")
         if X.shape[0] < 1:
             raise ValueError("empty configuration")
         if off_sphere_rows(X).size:
             raise ValueError(f"configuration points must be finite unit vectors ({UNIT_TOL:g})")
-        self.coords = X / np.linalg.norm(X, axis=1)[:, None]
-        self.coords.flags.writeable = False
-
-    @property
-    def N(self):
-        return self.coords.shape[0]
+        X.flags.writeable = False
+        self.coords = X
 
     def with_coords(self, X):
         return Configuration(self.spec, X)
@@ -282,28 +260,6 @@ def _energy_raw(spec, X, fields=False):
 _energy_dd_raw = _energy_raw
 
 
-def _report_energy(raw):
-    return 0.0 if raw < ACHIEVED_ZERO else raw
-
-
-def energy(config):
-    """Design energy |Phi|^2 = (1/N^2) sum_ij g(<x_i, x_j>).
-
-    Zero exactly at spherical designs; values below the achieved-zero
-    threshold 1e-24 are reported as 0.0.
-    """
-    return _report_energy(_energy_raw(config.spec, config.coords))
-
-
-def energy_by_degree(config):
-    """Per-degree split E_k of the energy, k = 1..n.
-
-    Each entry is a weighted sum of squares, so it is nonnegative, and the
-    entries sum to the unclamped energy.
-    """
-    return _degree_energies(config.spec, _fields(config.spec, config.coords))
-
-
 def _gradient_raw(spec, X, F=None):
     """Spherical gradient rows of the energy, d E / d x_i, shape (N, d+1).
 
@@ -334,35 +290,10 @@ def _gradient_raw(spec, X, F=None):
     return tangent_rows(X, G)
 
 
-def energy_gradient(config):
-    """Tangent gradient of energy() at the configuration, one row per point."""
-    return _gradient_raw(config.spec, config.coords)
-
-
-def design_residual(config):
-    """Certification residual |Phi| = sqrt(energy), unclamped.
+def design_residual(spec, X):
+    """Certification residual |Phi| = sqrt(energy) of the rows of X.
 
     Bounds the equal-weight quadrature error |mean Q - integral Q| by
     residual * |Q| for kernel-space Q.
     """
-    return math.sqrt(_energy_raw(config.spec, config.coords))
-
-
-def kernel_poly_eval(spec, centers, coeffs, y):
-    """Evaluate P = sum_i a_i g(<z_i, .>) at the point y, a vector of length d+1."""
-    Z = as_coords(centers)
-    a = np.asarray(coeffs, dtype=float)
-    if Z.shape[0] != a.size:
-        raise ValueError("centers and coeffs must have equal length")
-    t = np.clip(Z @ np.asarray(y, dtype=float), -1.0, 1.0)
-    return float(a @ gw_eval(spec, t))
-
-
-def kernel_poly_norm(spec, centers, coeffs):
-    """Kernel-space norm |P| of P = sum_i a_i g(<z_i, .>) via the Gram matrix."""
-    Z = as_coords(centers)
-    a = np.asarray(coeffs, dtype=float)
-    if Z.shape[0] != a.size:
-        raise ValueError("centers and coeffs must have equal length")
-    G = gw_eval(spec, np.clip(Z @ Z.T, -1.0, 1.0))
-    return math.sqrt(max(float(a @ G @ a), 0.0))
+    return math.sqrt(_energy_raw(spec, X))

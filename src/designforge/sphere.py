@@ -219,26 +219,6 @@ class Region:
     def diameter_bound(self):
         return _diameter_bound(self.levels, self.d)
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        m = self.d
-        for lo, hi in self.levels:
-            if m == 1:
-                phi = math.atan2(x[1], x[0]) % TWO_PI
-                if not (lo <= phi < hi or (hi >= TWO_PI and phi >= lo)):
-                    return False
-                return True
-            theta = math.acos(max(-1.0, min(1.0, x[m] / np.linalg.norm(x))))
-            closed = hi >= math.pi
-            if not (lo <= theta and (theta < hi or (closed and theta <= hi))):
-                return False
-            s = np.linalg.norm(x[:m])
-            if s == 0.0:
-                return True
-            x = x[:m] / s
-            m -= 1
-        return True
-
     def center(self):
         """The region's center as a unit vector of length d+1."""
         return _center_coords(self.levels, self.d)

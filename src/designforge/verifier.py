@@ -224,27 +224,6 @@ def _arc_blocks(evaluate, rings, m):
             yield a0, r0, block.reshape(turned.shape[0], turned.shape[1], B)
 
 
-def ring_values(evaluate, rings, m):
-    """Values (R, L) of a degree-<=m polynomial at every node of the rings.
-
-    The same route as `_ring_abs_integral`: each ring's Fourier
-    coefficients from the torus (`_ring_coefficients`), then one real
-    matmul against the cos/sin table per block of arcs (`_arc_blocks`),
-    whose blocks are assembled here.  Each step is exact for trigonometric
-    degree <= m, so the result is P at the nodes up to rounding.  Needs
-    L >= 2m+1, so that the nodes determine P on every ring.
-    """
-    L = rings.L
-    if L < 2 * m + 1:
-        raise ValueError(f"rings need at least {2 * m + 1} longitudes for degree {m}")
-    R = rings.radius.size
-    B = _arc_width(L, m)
-    values = np.empty((R, -(-L // B), B))
-    for a0, r0, block in _arc_blocks(evaluate, rings, m):
-        values[r0:r0 + block.shape[1], a0:a0 + block.shape[0]] = block.transpose(1, 0, 2)
-    return values.reshape(R, -1)[:, :L]
-
-
 def _ring_abs_integral(evaluate, rings, m):
     """Quadrature of |P| over the rings' nodes, block by block.
 

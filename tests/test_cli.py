@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -67,8 +68,8 @@ def test_verify_all_nan_is_a_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("norm_error", [1e-11, 1e-10, 1e-9])
 def test_verify_rows_off_the_unit_tolerance_are_data_errors(norm_error, tmp_path, capsys):
-    # the reader, is_design and Configuration share one tolerance, so rows the
-    # reader accepts can no longer fail later inside Configuration
+    # the reader and is_design share one unit-norm tolerance, so rows the
+    # reader accepts can no longer fail later inside is_design
     X = _polygon(9)
     X[2] *= 1.0 + norm_error
     path = _write_json(tmp_path / "off.json", X)
@@ -195,6 +196,28 @@ def test_study_n_rule_beyond_any_solvable_count_is_a_quick_usage_error(rule, mes
     )
     assert done.returncode == cli.EXIT_USAGE
     assert f"--N-rule at n=1: N rule {rule!r}: {message}" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+def test_study_huge_n_range_is_a_quick_usage_error(tmp_path):
+    # the range is checked lazily and stops at n = MAX_DEGREE + 1; a list of
+    # its 10^12 values would take terabytes, so the child process runs under
+    # a 2 GiB address-space cap and a timeout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = tmp_path / "study.csv"
+    argv = ["study", "-d", "2", "--n", "1..1000000000000", "--N-rule", "n", "-o", str(out)]
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "designforge.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=20, preexec_fn=cap_memory,
+    )
+    assert done.returncode == cli.EXIT_USAGE
+    assert f"--n values must be in 1..{MAX_DEGREE}" in done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
 
@@ -327,6 +350,23 @@ def test_out_of_range_numeric_flags_are_usage_errors(argv, message, tmp_path, mo
     # rejected before any work: nothing written
     assert not (tmp_path / "out.json").exists()
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_generate_and_verify_report_one_residual(tmp_path, capsys):
+    # the solve, generate's verification and verify on the written file all
+    # take the energy of the same rows: the points are never renormalized,
+    # and 17 significant digits read back to the same floats
+    out = tmp_path / "d3n3.json"
+    argv = ["generate", "-d", "3", "-n", "3", "-N", "auto", "--seed", "1",
+            "--no-timestamp", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert cli.main(["verify", str(out), "-n", "3"]) == cli.EXIT_OK
+    verified = json.loads(capsys.readouterr().out)
+    residual = doc["solve"]["final_residual"]
+    assert 0.0 < residual <= 1e-12
+    assert doc["verification"]["residual"] == residual
+    assert verified["residual"] == residual
 
 
 def test_generate_exits_fail_when_its_own_verification_fails(tmp_path, capsys):

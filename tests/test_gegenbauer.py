@@ -79,11 +79,12 @@ def test_derivative_legendre_at_one():
 def test_derivative_of_constant_is_zero():
     # g = lam_1 C_1 at n = 1 has no second derivative: the kernel's shifted
     # series returns zeros when the shift exceeds the strength
-    from designforge.kernel import gw_d2, make_kernel
+    from designforge.kernel import _eval_shifted, make_kernel
 
     for d in (1, 2, 4):
-        assert gw_d2(make_kernel(d, 1), 0.7) == 0.0
-        assert np.array_equal(gw_d2(make_kernel(d, 1), np.linspace(-1, 1, 5)), np.zeros(5))
+        assert _eval_shifted(make_kernel(d, 1), 0.7, 2) == 0.0
+        assert np.array_equal(_eval_shifted(make_kernel(d, 1), np.linspace(-1, 1, 5), 2),
+                              np.zeros(5))
 
 
 def test_derivative_against_finite_difference():

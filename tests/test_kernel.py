@@ -10,21 +10,17 @@ from designforge import kernel
 from designforge.gegenbauer import gegenbauer_terms, harmonic_dim, renormalization
 from designforge.kernel import (
     Configuration,
+    _degree_energies,
     _energy_raw,
     _energy_rule,
+    _eval_shifted,
+    _fields,
     _gradient_raw,
     design_residual,
-    energy,
     energy_rule_size,
-    energy_by_degree,
-    energy_gradient,
-    gp1_closed_form,
     gw_d1,
-    gw_d2,
     gw_eval,
     hessian_step_bound,
-    kernel_poly_eval,
-    kernel_poly_norm,
     make_kernel,
 )
 from designforge.solver import solve
@@ -41,17 +37,18 @@ from exact_designs import (
     twenty_four_cell,
     unit_rows,
 )
+from oracles import gp1_closed_form
 
 TETRA = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
 ) / math.sqrt(3.0)
 
 
-def _random_config(spec, N, seed):
+def _random_rows(spec, N, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((N, spec.d + 1))
     X /= np.linalg.norm(X, axis=1)[:, None]
-    return Configuration(spec, X)
+    return X
 
 
 def test_make_kernel_d2_n1_constants():
@@ -134,7 +131,7 @@ def test_gw_derivative_extremal_at_one(d):
         vals = gw_eval(s, grid)
         assert int(np.argmax(np.abs(vals))) == 2000
         assert gw_d1(s, 1.0) == pytest.approx(s.gp1, rel=1e-12)
-        assert gw_d2(s, 1.0) == pytest.approx(s.gpp1, rel=1e-12)
+        assert _eval_shifted(s, 1.0, 2) == pytest.approx(s.gpp1, rel=1e-12)
 
 
 def test_gw_domain_error():
@@ -145,22 +142,20 @@ def test_gw_domain_error():
 
 def test_energy_antipodal_pair_is_exact_design():
     s = make_kernel(2, 1)
-    c = Configuration(s, np.array([[0.0, 0, 1], [0.0, 0, -1]]))
-    assert energy(c) == 0.0
+    assert _energy_raw(s, np.array([[0.0, 0, 1], [0.0, 0, -1]])) == 0.0
 
 
 def test_energy_single_point():
     s = make_kernel(2, 1)
-    c = Configuration(s, np.array([[0.0, 0, 1]]))
-    assert energy(c) == pytest.approx(1.5, rel=1e-15)
-    assert design_residual(c) == pytest.approx(math.sqrt(1.5), rel=1e-15)
+    X = np.array([[0.0, 0, 1]])
+    assert _energy_raw(s, X) == pytest.approx(1.5, rel=1e-15)
+    assert design_residual(s, X) == pytest.approx(math.sqrt(1.5), rel=1e-15)
 
 
 def test_energy_tetrahedron_is_2_design():
     s = make_kernel(2, 2)
-    c = Configuration(s, TETRA)
-    assert abs(_energy_raw(s, c.coords)) <= 1e-14
-    assert design_residual(c) <= 1e-7
+    assert abs(_energy_raw(s, TETRA)) <= 1e-14
+    assert design_residual(s, TETRA) <= 1e-7
 
 
 def test_energy_empty_rejected():
@@ -178,7 +173,7 @@ def test_configuration_rejects_non_finite_and_off_tolerance_rows():
 
 def test_energy_by_degree_tetrahedron():
     s = make_kernel(2, 3)
-    parts = energy_by_degree(Configuration(s, TETRA))
+    parts = _degree_energies(s, _fields(s, TETRA))
     assert abs(parts[0]) <= 1e-14
     assert abs(parts[1]) <= 1e-14
     assert parts[2] == pytest.approx(560.0 / 1728.0, rel=1e-12)
@@ -186,8 +181,8 @@ def test_energy_by_degree_tetrahedron():
 
 def test_energy_by_degree_antipodal():
     s = make_kernel(2, 2)
-    c = Configuration(s, np.array([[0.0, 0, 1], [0.0, 0, -1]]))
-    parts = energy_by_degree(c)
+    X = np.array([[0.0, 0, 1], [0.0, 0, -1]])
+    parts = _degree_energies(s, _fields(s, X))
     assert abs(parts[0]) <= 1e-15
     assert parts[1] == pytest.approx(5.0 / 6.0, rel=1e-12)
 
@@ -199,7 +194,7 @@ def test_energy_by_degree_single_point():
         s = make_kernel(d, n)
         x = np.zeros((1, d + 1))
         x[0, -1] = 1.0
-        parts = energy_by_degree(Configuration(s, x))
+        parts = _degree_energies(s, _fields(s, x))
         alpha = (d - 1) / 2.0
         for k in range(1, n + 1):
             expected = s.lam[k - 1] * float(gegenbauer_at_one_exact(d - 1, k))
@@ -212,28 +207,27 @@ def test_energy_by_degree_properties_random():
         d = 1 + seed % 3
         n = 2 + seed % 5
         s = make_kernel(d, n)
-        c = _random_config(s, 5 + seed % 20, seed)
-        parts = energy_by_degree(c)
+        X = _random_rows(s, 5 + seed % 20, seed)
+        parts = _degree_energies(s, _fields(s, X))
         assert np.all(parts >= -1e-12)
-        total = energy(c)
+        total = _energy_raw(s, X)
         assert float(parts.sum()) == pytest.approx(total, rel=1e-12, abs=1e-13)
 
 
 def test_energy_rotation_invariance():
     rng = np.random.default_rng(21)
     s = make_kernel(2, 4)
-    c = _random_config(s, 15, 5)
-    e0 = energy(c)
+    X = _random_rows(s, 15, 5)
+    e0 = _energy_raw(s, X)
     for _ in range(20):
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        e1 = energy(Configuration(s, c.coords @ q.T))
+        e1 = _energy_raw(s, X @ q.T)
         assert abs(e1 - e0) <= 1e-10 * (1.0 + e0)
 
 
 def test_gradient_two_point_example():
     s = make_kernel(2, 1)
-    c = Configuration(s, np.array([[1.0, 0, 0], [0.0, 1, 0]]))
-    grads = energy_gradient(c)
+    grads = _gradient_raw(s, np.array([[1.0, 0, 0], [0.0, 1, 0]]))
     assert grads.shape == (2, 3)
     assert np.allclose(grads[0], [0.0, 0.75, 0.0], atol=1e-15)
     assert np.allclose(grads[1], [0.75, 0.0, 0.0], atol=1e-15)
@@ -241,15 +235,15 @@ def test_gradient_two_point_example():
 
 def test_gradient_vanishes_at_antipodal_design():
     s = make_kernel(2, 1)
-    c = Configuration(s, np.array([[0.0, 0, 1], [0.0, 0, -1]]))
-    assert np.allclose(energy_gradient(c), 0.0, atol=1e-15)
+    X = np.array([[0.0, 0, 1], [0.0, 0, -1]])
+    assert np.allclose(_gradient_raw(s, X), 0.0, atol=1e-15)
 
 
 def test_gradient_rows_are_tangential():
     s = make_kernel(3, 4)
-    c = _random_config(s, 12, 9)
-    G = _gradient_raw(s, c.coords)
-    resid = np.abs(np.einsum("ij,ij->i", G, c.coords))
+    X = _random_rows(s, 12, 9)
+    G = _gradient_raw(s, X)
+    resid = np.abs(np.einsum("ij,ij->i", G, X))
     assert np.max(resid) <= 1e-15
 
 
@@ -259,15 +253,15 @@ def test_gradient_matches_directional_finite_difference(seed):
     d = 1 + seed % 3
     n = 2 + seed % 6
     s = make_kernel(d, n)
-    c = _random_config(s, 4 + seed, 100 + seed)
-    grads = _gradient_raw(s, c.coords)
-    i = int(rng.integers(c.N))
-    x = c.coords[i:i + 1]
+    X = _random_rows(s, 4 + seed, 100 + seed)
+    grads = _gradient_raw(s, X)
+    i = int(rng.integers(X.shape[0]))
+    x = X[i:i + 1]
     u = tangent_rows(x, rng.standard_normal((1, d + 1)))
     h = 1e-5
 
     def shifted(t):
-        pts = np.array(c.coords)
+        pts = np.array(X)
         pts[i] = _geodesic_rows(x, tangent_rows(x, u), t)[0]
         return _energy_raw(s, pts)
 
@@ -279,14 +273,16 @@ def test_gradient_matches_directional_finite_difference(seed):
 def test_design_residual_cauchy_schwarz():
     rng = np.random.default_rng(31)
     s = make_kernel(2, 3)
-    c = _random_config(s, 12, 77)
-    resid = design_residual(c)
+    X = _random_rows(s, 12, 77)
+    resid = design_residual(s, X)
     for _ in range(100):
         Z = rng.standard_normal((6, 3))
         Z /= np.linalg.norm(Z, axis=1)[:, None]
         a = rng.standard_normal(6)
-        avg = float(np.mean([kernel_poly_eval(s, Z, a, y) for y in c.coords]))
-        norm = kernel_poly_norm(s, Z, a)
+        # P = sum_i a_i g(<z_i, .>): its mean over X, and its kernel-space
+        # norm from the Gram matrix of the centers
+        avg = float(np.mean(gw_eval(s, np.clip(X @ Z.T, -1.0, 1.0)) @ a))
+        norm = math.sqrt(max(float(a @ gw_eval(s, np.clip(Z @ Z.T, -1.0, 1.0)) @ a), 0.0))
         assert abs(avg) <= resid * norm + 1e-12
 
 
@@ -302,46 +298,27 @@ def test_hessian_bound_growth_is_stable():
     assert max(ratios) / min(ratios) <= 2.0
 
 
-def test_kernel_poly_eval_zero_coeffs():
-    s = make_kernel(2, 2)
-    rng = np.random.default_rng(1)
-    Z = rng.standard_normal((4, 3))
-    Z /= np.linalg.norm(Z, axis=1)[:, None]
-    y = rng.standard_normal(3)
-    y /= np.linalg.norm(y)
-    assert kernel_poly_eval(s, Z, np.zeros(4), y) == 0.0
-
-
-def test_kernel_poly_eval_diagonal():
-    s = make_kernel(2, 3)
-    z = np.array([[0.0, 0, 1]])
-    assert kernel_poly_eval(s, z, [1.0], z[0]) == pytest.approx(s.g1, rel=1e-14)
-
-
-def test_kernel_poly_reproducing_identity():
-    rng = np.random.default_rng(55)
-    s = make_kernel(2, 4)
-    for _ in range(10):
-        Z = rng.standard_normal((5, 3))
-        Z /= np.linalg.norm(Z, axis=1)[:, None]
-        a = rng.standard_normal(5)
-        y = rng.standard_normal(3)
-        y /= np.linalg.norm(y)
-        # <G_y, P> via the Gram identity is the pointwise value at y
-        gram_route = float(a @ gw_eval(s, np.clip(Z @ y, -1, 1)))
-        assert kernel_poly_eval(s, Z, a, y) == pytest.approx(gram_route, rel=1e-13)
-
-
-def test_kernel_poly_length_mismatch():
-    s = make_kernel(2, 2)
-    with pytest.raises(ValueError):
-        kernel_poly_eval(s, np.eye(3), [1.0, 2.0], np.array([0.0, 0, 1]))
-
-
 def test_configuration_validation_and_cache():
     s = make_kernel(2, 2)
     with pytest.raises(ValueError):
         Configuration(s, np.array([[1.0, 1.0, 0.0]]))
+
+
+def test_configuration_keeps_its_rows_as_given():
+    # rows within the unit tolerance are not renormalized, so the energy of
+    # a configuration is the energy of the rows it was built from
+    s = make_kernel(2, 3)
+    X = _random_rows(s, 9, 4) * (1.0 + 4e-13)
+    c = Configuration(s, X)
+    assert np.array_equal(c.coords, X)
+    assert _energy_raw(s, c.coords) == _energy_raw(s, X)
+    assert design_residual(s, c.coords) == design_residual(s, X)
+    # a read-only copy: neither a write through it nor one to X changes it
+    with pytest.raises(ValueError):
+        c.coords[0, 0] = 0.0
+    X[0] = [0.0, 0.0, 1.0]
+    assert not np.array_equal(c.coords[0], X[0])
+    assert np.array_equal(c.with_coords(X).coords, X)
 
 
 def _explicit_gegenbauer(d, k, x):
@@ -388,8 +365,8 @@ def _assert_matches_oracle(got, exact):
 def test_energy_matches_mpmath_gram_sum_on_random_configs(d, n):
     spec = make_kernel(d, n)
     for N in (1, 2, 13):
-        c = _random_config(spec, N, 10 * d + n + N)
-        _assert_matches_oracle(_energy_raw(spec, c.coords), _mpmath_gram_energy(spec, c.coords))
+        X = _random_rows(spec, N, 10 * d + n + N)
+        _assert_matches_oracle(_energy_raw(spec, X), _mpmath_gram_energy(spec, X))
 
 
 @pytest.mark.parametrize("design,n", [
@@ -447,7 +424,7 @@ def test_zonal_span_rule_is_well_conditioned(d, n):
 def test_gradient_memory_is_linear_in_N():
     # a Gram-form gradient holds (N, N) arrays of 8 N^2 bytes each
     spec = make_kernel(2, 5)
-    X = _random_config(spec, 6000, 3).coords
+    X = _random_rows(spec, 6000, 3)
     _energy_rule(2, 5)
     tracemalloc.start()
     try:
@@ -463,7 +440,7 @@ def test_gradient_from_the_energy_fields_is_bitwise_the_same():
     # the next gradient instead of computing them again
     for d in range(1, 7):
         spec = make_kernel(d, 4)
-        X = _random_config(spec, 23, d).coords
+        X = _random_rows(spec, 23, d)
         E, F = _energy_raw(spec, X, fields=True)
         assert E == _energy_raw(spec, X)
         assert np.array_equal(_gradient_raw(spec, X, F), _gradient_raw(spec, X)), d
@@ -473,14 +450,14 @@ def test_gradient_from_the_energy_fields_is_bitwise_the_same():
 def test_node_blocks_do_not_change_energy_or_gradient(d, n, N, monkeypatch):
     spec = make_kernel(d, n)
     M = energy_rule_size(d, n)
-    X = _random_config(spec, N, 5).coords
+    X = _random_rows(spec, N, 5)
     monkeypatch.setattr(kernel, "_BLOCK_DOUBLES", N * M)
     assert len(kernel._node_blocks(N, M)) == 1
-    one = _energy_raw(spec, X), _gradient_raw(spec, X), energy_by_degree(Configuration(spec, X))
+    one = _energy_raw(spec, X), _gradient_raw(spec, X), _degree_energies(spec, _fields(spec, X))
     # 3 nodes a block, with a shorter last block
     monkeypatch.setattr(kernel, "_BLOCK_DOUBLES", 3 * N)
     assert len(kernel._node_blocks(N, M)) > 1 and M % 3 != 0
-    many = _energy_raw(spec, X), _gradient_raw(spec, X), energy_by_degree(Configuration(spec, X))
+    many = _energy_raw(spec, X), _gradient_raw(spec, X), _degree_energies(spec, _fields(spec, X))
     assert many[0] == pytest.approx(one[0], rel=1e-14, abs=0.0)
     assert np.max(np.abs(many[1] - one[1])) <= 1e-14 * np.max(np.abs(one[1]))
     assert np.allclose(many[2], one[2], rtol=1e-14, atol=0.0)
@@ -489,8 +466,9 @@ def test_node_blocks_do_not_change_energy_or_gradient(d, n, N, monkeypatch):
 def test_e8_roots_have_zero_energy_on_the_sampled_rule():
     X = e8_roots()
     assert energy_rule_size(7, 5) == 2 * 672
-    assert 0.0 <= _energy_raw(make_kernel(7, 5), X) <= 1e-28
-    assert np.all(energy_by_degree(Configuration(make_kernel(7, 5), X)) <= 1e-28)
+    spec = make_kernel(7, 5)
+    assert 0.0 <= _energy_raw(spec, X) <= 1e-28
+    assert np.all(_degree_energies(spec, _fields(spec, X)) <= 1e-28)
 
 
 EXACT_DESIGNS = [
@@ -514,4 +492,4 @@ def test_exact_designs_have_zero_energy_and_are_solver_fixed_points(design, stre
     assert _energy_raw(make_kernel(d, strength + 1), X) > 1e-6
     final, report = solve(spec, Configuration(spec, X))
     assert report.terminated == "converged" and report.iterations == 0
-    assert np.array_equal(final.coords, Configuration(spec, X).coords)
+    assert np.array_equal(final.coords, X)

@@ -12,10 +12,10 @@ from scipy.special import eval_gegenbauer
 
 from designforge.gegenbauer import gegenbauer_at_one_exact
 from designforge.kernel import (
-    Configuration,
+    _degree_energies,
     _energy_raw,
+    _fields,
     _gradient_raw,
-    energy_by_degree,
     make_kernel,
 )
 from designforge.sphere import _geodesic_rows, tangent_rows
@@ -70,13 +70,10 @@ def test_energy_is_invariant_under_rotation_and_permutation(case):
 @given(configurations())
 def test_energy_by_degree_is_nonnegative_and_sums_to_the_energy(case):
     spec, X, _ = case
-    config = Configuration(spec, X)
-    parts = energy_by_degree(config)
+    parts = _degree_energies(spec, _fields(spec, X))
     assert parts.shape == (spec.n,)
     assert np.all(parts >= 0.0)
-    # the same rows as the parts: Configuration renormalizes X, which can move
-    # the energy by a few ulps
-    E = _energy_raw(spec, config.coords)
+    E = _energy_raw(spec, X)
     assert math.fsum(parts) == pytest.approx(E, rel=1e-15, abs=0.0)
     # each part against its Gram sum (1/N^2) sum_ij lam_k C_k(<x_i, x_j>), an
     # independent route that cancels terms of size lam_k C_k(1)

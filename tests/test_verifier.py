@@ -17,10 +17,10 @@ from designforge.verifier import (
     monomial_sphere_integral,
     mz_check,
     quadrature_rings,
-    ring_values,
     sphere_quadrature_grid,
 )
 from exact_designs import cube, icosahedron, octahedron, polygon, six_hundred_cell, unit_rows
+from oracles import ring_values
 
 
 def _trial(d, m, kind, seed):
