@@ -206,7 +206,8 @@ def eval_count_rule(expr, n):
     """Safely evaluate an N rule such as '2*(n+1)^2' or '4*binom(n+3,3)'.
 
     Raises ValueError when the result, a `**` base or exponent or a `binom`
-    argument exceeds its bound, before any unbounded integer is computed.
+    argument exceeds its bound, before any unbounded integer is computed,
+    and when a `**` has no real value.
     """
     tree = ast.parse(expr.replace("^", "**"), mode="eval")
 
@@ -238,8 +239,12 @@ def eval_count_rule(expr, n):
             if isinstance(node.op, ast.FloorDiv):
                 return left // right
             if isinstance(node.op, ast.Pow):
-                return (bounded(left, _MAX_RULE_VALUE, "base")
-                        ** bounded(right, _MAX_RULE_EXPONENT, "exponent"))
+                power = (bounded(left, _MAX_RULE_VALUE, "base")
+                         ** bounded(right, _MAX_RULE_EXPONENT, "exponent"))
+                if isinstance(power, complex):
+                    raise ValueError(
+                        f"N rule {expr!r}: a power of the negative base {left} is not real")
+                return power
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -445,7 +450,7 @@ def cmd_kernel_info(args, parser):
               f"{spec.lam[k-1]:>24.16g}")
     direct_gp1 = float(gw_d1(spec, 1.0))
     print(f"g(1)   = {spec.g1:.16g}")
-    print(f"g'(1)  = {spec.gp1:.16g} (coefficient sum)")
+    print(f"g'(1)  = {spec.gp1:.16g} (closed form)")
     print(f"g'(1)  = {direct_gp1:.16g} (direct evaluation)")
     print(f"g''(1) = {spec.gpp1:.16g}")
     print(f"hessian bound (3g''(1)+g'(1))^1/2 = {hessian_step_bound(spec):.16g}")

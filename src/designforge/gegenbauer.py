@@ -90,37 +90,16 @@ def shift_factor(alpha, order):
 
 
 def gegenbauer_at_one_exact(alpha2, k):
-    """Exact rational C_k^alpha(1) given alpha2 = 2*alpha as a Fraction/int."""
-    alpha2 = Fraction(alpha2)
+    """Exact rational C_k^alpha(1) for the integer alpha2 = 2*alpha.
+
+    The binomial C(k + alpha2 - 1, k), and 2/k under the renormalized
+    convention at alpha2 = 0, k >= 1.
+    """
     if k == 0:
         return Fraction(1)
     if alpha2 == 0:
         return Fraction(2, k)
-    value = Fraction(1)
-    for j in range(1, k + 1):
-        value *= Fraction(alpha2 + j - 1, j)
-    return value
-
-
-def derivative_at_one_exact(d, k, order):
-    """Exact rational value of the order-th derivative of C_k^alpha at 1.
-
-    alpha = (d-1)/2 for integer sphere dimension d >= 1; uses the index
-    shift d^r/dt^r C_k^alpha = shift_factor(alpha, r) * C_{k-r}^{alpha+r}.
-    """
-    if order not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
-    if k < order:
-        return Fraction(0)
-    alpha2 = d - 1
-    if order == 1:
-        factor = Fraction(alpha2) if alpha2 > 0 else Fraction(2)
-        return factor * gegenbauer_at_one_exact(alpha2 + 2, k - 1)
-    if alpha2 > 0:
-        factor = Fraction(alpha2) * Fraction(alpha2 + 2)
-    else:
-        factor = Fraction(4)
-    return factor * gegenbauer_at_one_exact(alpha2 + 4, k - 2)
+    return Fraction(math.comb(k + alpha2 - 1, k))
 
 
 def harmonic_dim(d, k):

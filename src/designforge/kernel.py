@@ -30,7 +30,6 @@ import numpy as np
 from .gegenbauer import (
     MAX_DEGREE,
     clamp_unit,
-    derivative_at_one_exact,
     gegenbauer_at_one_exact,
     gegenbauer_terms,
     harmonic_dim,
@@ -53,6 +52,12 @@ class KernelSpec:
     Carries the weights w_k, the kernel coefficients lam_k, and the
     boundary constants g1 = g(1), gp1 = g'(1), gpp1 = g''(1), all backed
     by exact rationals (alpha = (d-1)/2 makes every coefficient rational).
+    With C_k(1) = C(k+d-2, k) (2/k on S^1), lam_k = dim_k / (w_k C_k(1)),
+    and the Gegenbauer ratios C_k'(1) / C_k(1) = w_k / d and
+    C_k''(1) / C_k(1) = w_k (k-1)(k+d) / (d(d+2)) give the closed forms
+
+        g(1) = sum_k dim_k / w_k,   g'(1) = sum_k dim_k / d,
+        g''(1) = sum_k dim_k (k-1)(k+d) / (d(d+2)).
     """
 
     __slots__ = (
@@ -71,26 +76,22 @@ class KernelSpec:
         self.alpha = (d - 1) / 2.0
         ks = np.arange(1, n + 1)
         self.weights = (ks * (ks + d - 1)).astype(float)
-        self.dims = np.array([harmonic_dim(d, k) for k in ks])
+        dims = [harmonic_dim(d, k) for k in range(1, n + 1)]
+        self.dims = np.array(dims)
 
         lam_exact = []
         g1 = Fraction(0)
-        gp1 = Fraction(0)
-        gpp1 = Fraction(0)
-        for k in range(1, n + 1):
-            w_k = Fraction(k * (k + d - 1))
-            dim_k = harmonic_dim(d, k)
-            at_one = gegenbauer_at_one_exact(d - 1, k)
-            lam_k = Fraction(dim_k) / (w_k * at_one)
-            lam_exact.append(lam_k)
-            g1 += lam_k * at_one
-            gp1 += lam_k * derivative_at_one_exact(d, k, 1)
-            gpp1 += lam_k * derivative_at_one_exact(d, k, 2)
+        gpp1 = 0
+        for k, dim_k in enumerate(dims, 1):
+            w_k = k * (k + d - 1)
+            lam_exact.append(Fraction(dim_k) / (w_k * gegenbauer_at_one_exact(d - 1, k)))
+            g1 += Fraction(dim_k, w_k)
+            gpp1 += dim_k * (k - 1) * (k + d)
         self._lam_exact = tuple(lam_exact)
         self.lam = np.array([float(f) for f in lam_exact])
         self.g1 = float(g1)
-        self.gp1 = float(gp1)
-        self.gpp1 = float(gpp1)
+        self.gp1 = float(Fraction(sum(dims), d))
+        self.gpp1 = float(Fraction(gpp1, d * (d + 2)))
 
     def __repr__(self):
         return f"KernelSpec(d={self.d}, n={self.n})"

@@ -111,23 +111,19 @@ def sphere_surface_area(d):
 # -- product quadrature ----
 
 class QuadratureRings(NamedTuple):
-    """A product quadrature rule on S^d, stored ring by ring.
-
-    Ring r holds the L nodes (radius[r] cos phi_j, radius[r] sin phi_j,
-    *axial[r]) at the half-step longitudes phi_j = (j + 1/2) 2 pi / L,
-    each of weight weight[r].  Expanded with longitude innermost, the rings
-    give the nodes of `sphere_quadrature_grid` in its order.
+    """A product quadrature rule on S^d, stored as its angles.
 
     levels[i] holds the Gauss nodes t of axial level i, outermost first:
-    on S^d, level 0 is the last coordinate x_d = t, and each ring point is
-    (sqrt(1 - t^2) y', t) with y' a ring point of the level below on
-    S^(d-1).  The rings run over the levels' product in row-major order, so
-    ring (i_0, ..., i_(d-2)) has radius prod_j sqrt(1 - levels[j][i_j]^2).
-    On S^1 there are no levels.
+    on S^d, level 0 is the last coordinate x_d = t, and each node is
+    (sqrt(1 - t^2) y', t) with y' a node of the level below on S^(d-1),
+    down to (cos phi_j, sin phi_j) at the half-step longitudes
+    phi_j = (j + 1/2) 2 pi / L.  A ring is one choice of node per level;
+    the rings run over the levels' product in row-major order, and the L
+    nodes of ring r each have weight weight[r].  `nested_points` expands
+    them into the nodes of `sphere_quadrature_grid`, longitude innermost.
+    On S^1 there are no levels and one ring.
     """
 
-    axial: np.ndarray   # (R, d - 1) coordinates 2..d of each ring
-    radius: np.ndarray  # (R,) radius of each ring in the (x0, x1) plane
     weight: np.ndarray  # (R,) weight of each node on the ring
     L: int              # longitudes per ring
     levels: tuple       # d - 1 arrays of Gauss nodes t, outermost level first
@@ -138,44 +134,46 @@ def quadrature_rings(d, min_nodes=1_000_000, min_longitudes=1):
     """Ring form of the product rule on S^d; the weights sum to 1.
 
     On S^1: L = max(min_nodes, min_longitudes) equispaced longitudes.  On
-    S^d, d >= 2: the last coordinate t runs over the na Gauss-Gegenbauer
-    nodes of the weight (1 - t^2)^((d-2)/2), na the least integer with
-    na^d >= min_nodes, and each carries the S^(d-1) rule for na^(d-1) nodes
-    scaled by sqrt(1 - t^2).  The rule integrates every polynomial of degree
-    <= min(2 na - 1, L - 1) exactly.
+    S^d, d >= 2: na is the least integer with na^d >= min_nodes, the level
+    of S^m (m = d..2) holds the na Gauss-Gegenbauer nodes of the weight
+    (1 - t^2)^((m-2)/2), and L = max(na, min_longitudes).  The rule
+    integrates every polynomial of degree <= min(2 na - 1, L - 1) exactly.
 
     Built once per process and argument triple: the cache holds the fine
-    and coarse grids of an MZ check on S^1..S^3 with their sub-rules (12
-    entries), so the Gauss nodes are not rebuilt per call.  The arrays are
-    read-only, so no caller can change a cached rule.
+    and coarse grids of an MZ check on S^1..S^3 (6 entries), so the Gauss
+    nodes are not rebuilt per call.  The arrays are read-only, so no
+    caller can change a cached rule.
     """
-    if d == 1:
-        L = max(int(min_nodes), min_longitudes)
-        rings = QuadratureRings(np.empty((1, 0)), np.ones(1), np.full(1, 1.0 / L), L, ())
-    else:
-        na = max(2, round(min_nodes ** (1.0 / d)))
-        na += na**d < min_nodes
-        t, wt = roots_gegenbauer(na, (d - 1) / 2.0)
-        sub = quadrature_rings(d - 1, na ** (d - 1), min_longitudes)
-        S = sub.radius.size
-        s = np.repeat(np.sqrt(1.0 - t * t), S)
-        axial = np.column_stack([s[:, None] * np.tile(sub.axial, (na, 1)), np.repeat(t, S)])
-        weight = np.repeat(wt / wt.sum(), S) * np.tile(sub.weight, na)
-        rings = QuadratureRings(axial, s * np.tile(sub.radius, na), weight, sub.L,
-                                (t,) + sub.levels)
-    for a in (rings.axial, rings.radius, rings.weight, *rings.levels):
+    na = max(2, round(min_nodes ** (1.0 / d)))
+    na += na**d < min_nodes
+    L = max(int(min_nodes) if d == 1 else na, min_longitudes)
+    weight = np.full(1, 1.0 / L)
+    levels = ()
+    for m in range(2, d + 1):
+        t, wt = roots_gegenbauer(na, (m - 1) / 2.0)
+        weight = np.multiply.outer(wt / wt.sum(), weight).ravel()
+        levels = (t,) + levels
+    rings = QuadratureRings(weight, L, levels)
+    for a in (rings.weight, *rings.levels):
         a.setflags(write=False)
     return rings
 
 
-def _ring_points(rings, phi):
-    """Nodes at longitudes phi on every ring, ring-major: (R * len(phi), d+1)."""
-    R = rings.radius.size
-    Y = np.empty((R, phi.size, rings.axial.shape[1] + 2))
-    Y[:, :, 0] = np.outer(rings.radius, np.cos(phi))
-    Y[:, :, 1] = np.outer(rings.radius, np.sin(phi))
-    Y[:, :, 2:] = rings.axial[:, None, :]
-    return Y.reshape(R * phi.size, -1)
+def nested_points(circle, levels):
+    """Points (sin theta y', cos theta) over the product of nested angles.
+
+    circle is a (K, 2) array of points on S^1, and levels holds one pair of
+    arrays (cos theta, sin theta) per further angle, outermost first.  The
+    result has one row per choice of angle at each level and circle point,
+    in row-major order with the circle innermost: (K prod_j n_j, d+1).
+    """
+    Y = circle
+    for cos, sin in reversed(levels):
+        Y = np.concatenate([
+            sin[:, None, None] * Y,
+            np.broadcast_to(cos[:, None, None], (cos.size, Y.shape[0], 1)),
+        ], axis=2).reshape(-1, Y.shape[1] + 1)
+    return Y
 
 
 def sphere_quadrature_grid(d, min_nodes=1_000_000, min_longitudes=1):
@@ -187,7 +185,9 @@ def sphere_quadrature_grid(d, min_nodes=1_000_000, min_longitudes=1):
     """
     rings = quadrature_rings(d, min_nodes, min_longitudes)
     phi = (np.arange(rings.L) + 0.5) * (2.0 * math.pi / rings.L)
-    return _ring_points(rings, phi), np.repeat(rings.weight, rings.L)
+    levels = [(t, np.sqrt(1.0 - t * t)) for t in rings.levels]
+    points = nested_points(np.column_stack([np.cos(phi), np.sin(phi)]), levels)
+    return points, np.repeat(rings.weight, rings.L)
 
 
 # -- regions and partitions ----

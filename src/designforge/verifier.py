@@ -36,6 +36,7 @@ from .kernel import _BLOCK_DOUBLES, _energy_raw, gw_eval, make_kernel
 from .sphere import (
     UNIT_TOL,
     as_coords,
+    nested_points,
     off_sphere_rows,
     quadrature_rings,
     sphere_quadrature_grid,  # perfbench/tracing.py wraps it here by name
@@ -155,13 +156,7 @@ def _ring_coefficients(evaluate, rings, m):
     K = 2 * m + 1
     psi = np.arange(K) * (2.0 * math.pi / K)
     cos, sin = np.cos(psi), np.sin(psi)
-    torus = np.column_stack([cos, sin])
-    for _ in rings.levels:
-        # one more angle, outermost: (sin theta y', cos theta)
-        torus = np.concatenate([
-            sin[:, None, None] * torus,
-            np.broadcast_to(cos[:, None, None], (K, torus.shape[0], 1)),
-        ], axis=2).reshape(-1, torus.shape[1] + 1)
+    torus = nested_points(np.column_stack([cos, sin]), [(cos, sin)] * len(rings.levels))
     samples = evaluate(torus)
     for t in rings.levels:
         # the Dirichlet kernel sin(K x / 2) / (K sin(x / 2)) at x = theta - psi_k
@@ -204,7 +199,7 @@ def _arc_blocks(evaluate, rings, m):
     B); the nodes past L are left to the caller.
     """
     L = rings.L
-    R = rings.radius.size
+    R = rings.weight.size
     c = _ring_coefficients(evaluate, rings, m)
     k = np.arange(m + 1)
     B = _arc_width(L, m)

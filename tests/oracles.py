@@ -14,8 +14,8 @@ from designforge.verifier import _arc_blocks, _arc_width
 def gp1_closed_form(d, n):
     """Closed-form sum for g'(1): sum_k (2k+d-1) (k+d-2)! / (k! d!).
 
-    Independent of the coefficient route through lam_k; used to cross-check
-    KernelSpec.gp1.
+    sum_k dim_k / d written out in factorials, apart from `harmonic_dim`'s
+    binomial difference; used to cross-check KernelSpec.gp1.
     """
     total = Fraction(0)
     for k in range(1, n + 1):
@@ -73,7 +73,7 @@ def ring_values(evaluate, rings, m):
     L = rings.L
     if L < 2 * m + 1:
         raise ValueError(f"rings need at least {2 * m + 1} longitudes for degree {m}")
-    R = rings.radius.size
+    R = rings.weight.size
     B = _arc_width(L, m)
     values = np.empty((R, -(-L // B), B))
     for a0, r0, block in _arc_blocks(evaluate, rings, m):

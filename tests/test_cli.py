@@ -168,6 +168,8 @@ def test_flags_that_nothing_reads_are_not_offered(argv, capsys, tmp_path, monkey
     ("3-n", "--N-rule at n=3: N rule '3-n' produced 0"),
     ("n/0", "--N-rule at n=1: division by zero"),
     ("1e308*10", "--N-rule at n=1: cannot convert float infinity"),
+    ("(n-5)**0.5",
+     "--N-rule at n=1: N rule '(n-5)**0.5': a power of the negative base -4 is not real"),
 ])
 def test_study_n_rule_is_checked_at_every_n_before_any_solve(rule, message, capsys, tmp_path):
     out = tmp_path / "study.csv"

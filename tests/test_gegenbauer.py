@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from scipy.special import roots_jacobi
 
 from designforge.gegenbauer import (
     clamp_unit,
-    derivative_at_one_exact,
     gegenbauer_at_one_exact,
     gegenbauer_terms,
     harmonic_dim,
@@ -24,7 +24,21 @@ def _gegenbauer(alpha, k, t):
 
 
 def _at_one(alpha, k):
-    return float(gegenbauer_at_one_exact(2 * alpha, k))
+    return float(gegenbauer_at_one_exact(round(2 * alpha), k))
+
+
+def _at_one_rising(alpha2, k):
+    """C_k^alpha(1) = (2 alpha)_k / k! as a rising factorial, term by term, and
+    2/k at alpha = 0: the oracle for the binomial of `gegenbauer_at_one_exact`."""
+    alpha2 = Fraction(alpha2)
+    if k == 0:
+        return Fraction(1)
+    if alpha2 == 0:
+        return Fraction(2, k)
+    value = Fraction(1)
+    for j in range(1, k + 1):
+        value *= Fraction(alpha2 + j - 1, j)
+    return value
 
 
 def test_eval_degree_one_is_2_alpha_t():
@@ -134,11 +148,40 @@ def test_alpha_zero_chebyshev_limit():
         assert _gegenbauer(0.0, k, math.cos(theta)) == pytest.approx(expected, abs=1e-13)
 
 
+def test_at_one_binomial_matches_rising_factorial():
+    for alpha2 in range(7):
+        for k in range(61):
+            assert gegenbauer_at_one_exact(alpha2, k) == _at_one_rising(alpha2, k), (alpha2, k)
+
+
+def _derivative_at_one_exact(d, k, order):
+    """d^r/dt^r C_k^alpha at 1, alpha = (d-1)/2, by the index shift in exact
+    rationals; shift_factor's constants, with their alpha -> 0 limits."""
+    if k < order:
+        return Fraction(0)
+    alpha2 = d - 1
+    if order == 1:
+        factor = alpha2 if alpha2 > 0 else 2
+    else:
+        factor = alpha2 * (alpha2 + 2) if alpha2 > 0 else 4
+    return factor * _at_one_rising(alpha2 + 2 * order, k - order)
+
+
 def test_exact_at_one_and_derivatives():
     assert gegenbauer_at_one_exact(2, 3) == 4  # C_3^1(1) = C(4, 3)
-    assert derivative_at_one_exact(2, 2, 1) == 3  # P_2'(1)
-    assert derivative_at_one_exact(2, 2, 2) == 3  # P_2''(1)
-    assert derivative_at_one_exact(1, 4, 1) == 8  # circle: d/dt (2/4)T_4 at 1 = 2k
+    assert _derivative_at_one_exact(2, 2, 1) == 3  # P_2'(1)
+    assert _derivative_at_one_exact(2, 2, 2) == 3  # P_2''(1)
+    assert _derivative_at_one_exact(1, 4, 1) == 8  # circle: d/dt (2/4)T_4 at 1 = 2k
+    # the ratios behind KernelSpec's closed forms for g'(1) and g''(1), with
+    # w_k = k (k+d-1): C_k'(1) = C_k(1) w_k / d and
+    # C_k''(1) = C_k(1) w_k (k-1)(k+d) / (d(d+2))
+    for d in range(1, 7):
+        for k in range(61):
+            at_one = _at_one_rising(d - 1, k)
+            w = k * (k + d - 1)
+            assert _derivative_at_one_exact(d, k, 1) == at_one * Fraction(w, d), (d, k)
+            assert _derivative_at_one_exact(d, k, 2) == at_one * Fraction(
+                w * (k - 1) * (k + d), d * (d + 2)), (d, k)
 
 
 def test_harmonic_dim_examples():

@@ -121,10 +121,10 @@ def test_gw_mean_zero_over_sphere():
     assert abs(float(w @ vals)) <= 1e-9
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_gw_derivative_extremal_at_one(d):
     grid = np.linspace(-1.0, 1.0, 2001)
-    for n in (2, 7, 20):
+    for n in (2, 7, 20, 60, 200):
         s = make_kernel(d, n)
         dv = gw_d1(s, grid)
         assert int(np.argmax(np.abs(dv))) == 2000

@@ -47,7 +47,7 @@ def test_ring_values_match_direct_evaluation(d, min_nodes, m, kind):
     pts, w = sphere_quadrature_grid(d, min_nodes)
     direct = evaluate(pts)
     resampled = ring_values(evaluate, rings, m)
-    assert resampled.shape == (rings.radius.size, rings.L)
+    assert resampled.shape == (rings.weight.size, rings.L)
     assert resampled.size == pts.shape[0]
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(resampled.ravel() - direct)) <= 1e-12 * scale
@@ -89,7 +89,7 @@ def test_ring_abs_integral_holds_no_full_grid_array(d, m):
 def test_quadrature_rings_are_cached_and_read_only():
     rings = quadrature_rings(2, 10_000, 21)
     assert quadrature_rings(2, 10_000, 21) is rings
-    for a in (rings.axial, rings.radius, rings.weight, *rings.levels):
+    for a in (rings.weight, *rings.levels):
         with pytest.raises(ValueError):
             a[0] = 0.0
 
@@ -107,31 +107,27 @@ def test_ring_values_evaluate_only_the_torus(d, min_nodes, m):
     assert rows == [(2 * m + 1) ** d]
 
 
-@pytest.mark.parametrize("d,min_nodes", [(1, 100), (2, 10_000), (3, 27_000), (4, 20_000)])
-def test_levels_reproduce_the_rings(d, min_nodes):
-    rings = quadrature_rings(d, min_nodes)
-    assert len(rings.levels) == d - 1
-    # ring (i_0, ..., i_(d-2)): x_(d-j) = t_j prod_(l<j) sqrt(1 - t_l^2),
-    # and the radius is the product over every level
-    T = np.array(list(itertools.product(*rings.levels)))
-    assert T.shape[0] == rings.radius.size
-    scale = np.ones(T.shape[0])
-    for j in range(d - 1):
-        np.testing.assert_allclose(rings.axial[:, d - 2 - j], scale * T[:, j], rtol=0, atol=1e-15)
-        scale = scale * np.sqrt(1.0 - T[:, j] ** 2)
-    np.testing.assert_allclose(rings.radius, scale, rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("d,min_nodes", [case[:2] for case in GRID_CASES])
+@pytest.mark.parametrize("d,min_nodes", [case[:2] for case in GRID_CASES] + [(4, 20_000)])
 def test_grid_is_the_expansion_of_the_rings(d, min_nodes):
     rings = quadrature_rings(d, min_nodes)
+    assert len(rings.levels) == d - 1
     pts, w = sphere_quadrature_grid(d, min_nodes)
-    assert pts.shape == (rings.radius.size * rings.L, d + 1)
+    assert pts.shape == (rings.weight.size * rings.L, d + 1)
     np.testing.assert_array_equal(w, np.repeat(rings.weight, rings.L))
     assert abs(float(w.sum()) - 1.0) <= 1e-13
     assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-15
-    # longitude innermost: one ring's nodes share their axial coordinates
-    np.testing.assert_array_equal(pts[: rings.L, 2:], np.repeat(rings.axial[:1], rings.L, 0))
+    # node ((i_0, ..., i_(d-2)), j): x_(d-l) = t_l prod_(l'<l) sqrt(1 - t_l'^2),
+    # and (x0, x1) is the product over every level times (cos, sin) phi_j,
+    # longitude innermost
+    T = np.array(list(itertools.product(*rings.levels))).reshape(rings.weight.size, d - 1)
+    T = np.repeat(T, rings.L, 0)
+    phi = np.tile((np.arange(rings.L) + 0.5) * (2.0 * np.pi / rings.L), rings.weight.size)
+    scale = np.ones(T.shape[0])
+    for j in range(d - 1):
+        np.testing.assert_allclose(pts[:, d - j], scale * T[:, j], rtol=0, atol=1e-15)
+        scale = scale * np.sqrt(1.0 - T[:, j] ** 2)
+    np.testing.assert_allclose(pts[:, 0], scale * np.cos(phi), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pts[:, 1], scale * np.sin(phi), rtol=0, atol=1e-15)
 
 
 def test_short_rings_are_raised_to_2m_plus_1_longitudes():
@@ -140,7 +136,9 @@ def test_short_rings_are_raised_to_2m_plus_1_longitudes():
         rings = quadrature_rings(d, min_nodes, min_longitudes=21)
         assert base.L < 21 and rings.L == 21
         # same rings, each ring's total weight spread over more longitudes
-        np.testing.assert_array_equal(rings.radius, base.radius)
+        assert len(rings.levels) == len(base.levels) == d - 1
+        for t, base_t in zip(rings.levels, base.levels):
+            np.testing.assert_array_equal(t, base_t)
         np.testing.assert_allclose(rings.weight * rings.L, base.weight * base.L, rtol=1e-15)
         with pytest.raises(ValueError):
             ring_values(lambda Y: Y[:, 0], rings, 11)
