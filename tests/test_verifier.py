@@ -107,6 +107,23 @@ def test_ring_values_evaluate_only_the_torus(d, min_nodes, m):
     assert rows == [(2 * m + 1) ** d]
 
 
+@pytest.mark.parametrize("d,min_nodes", [(1, 100), (2, 10_000), (3, 27_000), (4, 20_000)])
+def test_levels_reproduce_the_rings(d, min_nodes):
+    rings = quadrature_rings(d, min_nodes)
+    assert len(rings.levels) == d - 1
+    # ring (i_0, ..., i_(d-2)): x_(d-j) = t_j prod_(l<j) sqrt(1 - t_l^2),
+    # and the ring's radius |(x0, x1)| is the product over every level
+    T = np.array(list(itertools.product(*rings.levels))).reshape(rings.weight.size, d - 1)
+    pts, _ = sphere_quadrature_grid(d, min_nodes)
+    assert pts.shape[0] == T.shape[0] * rings.L
+    first = pts[:: rings.L]  # each ring's first longitude
+    scale = np.ones(T.shape[0])
+    for j in range(d - 1):
+        np.testing.assert_allclose(first[:, d - j], scale * T[:, j], rtol=0, atol=1e-15)
+        scale = scale * np.sqrt(1.0 - T[:, j] ** 2)
+    np.testing.assert_allclose(np.hypot(first[:, 0], first[:, 1]), scale, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("d,min_nodes", [case[:2] for case in GRID_CASES] + [(4, 20_000)])
 def test_grid_is_the_expansion_of_the_rings(d, min_nodes):
     rings = quadrature_rings(d, min_nodes)
@@ -116,18 +133,14 @@ def test_grid_is_the_expansion_of_the_rings(d, min_nodes):
     np.testing.assert_array_equal(w, np.repeat(rings.weight, rings.L))
     assert abs(float(w.sum()) - 1.0) <= 1e-13
     assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-15
-    # node ((i_0, ..., i_(d-2)), j): x_(d-l) = t_l prod_(l'<l) sqrt(1 - t_l'^2),
-    # and (x0, x1) is the product over every level times (cos, sin) phi_j,
-    # longitude innermost
-    T = np.array(list(itertools.product(*rings.levels))).reshape(rings.weight.size, d - 1)
-    T = np.repeat(T, rings.L, 0)
+    # longitude innermost: node (ring, j) keeps its ring's axial coordinates,
+    # and (x0, x1) is the ring's radius times (cos, sin) phi_j
+    first = np.repeat(pts[:: rings.L], rings.L, 0)
+    np.testing.assert_array_equal(pts[:, 2:], first[:, 2:])
+    radius = np.hypot(first[:, 0], first[:, 1])
     phi = np.tile((np.arange(rings.L) + 0.5) * (2.0 * np.pi / rings.L), rings.weight.size)
-    scale = np.ones(T.shape[0])
-    for j in range(d - 1):
-        np.testing.assert_allclose(pts[:, d - j], scale * T[:, j], rtol=0, atol=1e-15)
-        scale = scale * np.sqrt(1.0 - T[:, j] ** 2)
-    np.testing.assert_allclose(pts[:, 0], scale * np.cos(phi), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(pts[:, 1], scale * np.sin(phi), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pts[:, 0], radius * np.cos(phi), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pts[:, 1], radius * np.sin(phi), rtol=0, atol=1e-15)
 
 
 def test_short_rings_are_raised_to_2m_plus_1_longitudes():
