@@ -15,11 +15,12 @@ import datetime
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .gegenbauer import MAX_DEGREE
+from .gegenbauer import MAX_DEGREE, gegenbauer_at_one_exact
 from .kernel import (
     design_residual,
     energy_rule_size,
@@ -442,12 +443,16 @@ def cmd_kernel_info(args, parser):
     if args.d < 1:
         parser.error("-d must be >= 1")
     _check_strength(args, parser)
-    spec = make_kernel(args.d, args.n)
+    try:
+        spec = make_kernel(args.d, args.n)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"kernel d={args.d} n={args.n} alpha={spec.alpha}")
     print(f"{'k':>4} {'w_k':>10} {'dim_k':>10} {'lambda_k':>24}")
-    for k in range(1, args.n + 1):
-        print(f"{k:>4} {spec.weights[k-1]:>10.1f} {spec.dims[k-1]:>10d} "
-              f"{spec.lam[k-1]:>24.16g}")
+    for k, (w, dim) in enumerate(zip(spec.weights, spec.dims), 1):
+        # g's coefficient of C_k = C_k(1) P_k, exact and rounded once
+        lam = Fraction(int(dim), int(w)) / gegenbauer_at_one_exact(args.d - 1, k)
+        print(f"{k:>4} {w:>10.1f} {dim:>10d} {float(lam):>24.16g}")
     direct_gp1 = float(gw_d1(spec, 1.0))
     print(f"g(1)   = {spec.g1:.16g}")
     print(f"g'(1)  = {spec.gp1:.16g} (closed form)")

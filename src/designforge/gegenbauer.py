@@ -1,18 +1,21 @@
 """Gegenbauer polynomials, their derivatives, and spherical harmonic dimensions.
 
 Everything here is scalar special-function plumbing: the three-term
-recurrence for C_k^alpha on [-1, 1], exact rational values at t = 1, and
-the dimension count for the degree-k harmonic space on S^d.
+recurrence on [-1, 1], exact rational values at t = 1, and the dimension
+count for the degree-k harmonic space on S^d.
 
 `gegenbauer_terms` is the one way the package evaluates a Gegenbauer
-polynomial in float64; every value, kernel series, field and per-degree sum
-is read off the sequence it yields.  Derivatives are read off it too,
-through the index shift d^r/dt^r C_k^alpha = shift_factor(alpha, r) *
-C_{k-r}^{alpha+r}.  The alpha = 0 case (the circle, d = 1) uses
-the renormalized Chebyshev limit C_k^0 := lim_{a->0} C_k^a / a = (2/k) T_k
-(and C_0^0 = 1), so that values at 1 stay nonzero and the zonal addition
-identity keeps the same shape as for d >= 2.  At alpha = 0 the generator
-yields T_k itself, and `renormalization` gives the factor 2/k.
+polynomial in float64, and it evaluates one normalization for every
+alpha >= 0: P_k^alpha = C_k^alpha / C_k^alpha(1), so P_k(1) = 1 and
+|P_k| <= 1 on [-1, 1].  At alpha = 0 (the circle, d = 1) that is the limit
+T_k, with no separate convention.  Every value, kernel series, field and
+per-degree sum is read off the sequence it yields, and so are derivatives,
+through the index shift
+
+    d/dt P_k^alpha = (w_k / d) P_{k-1}^{alpha+1},   alpha = (d-1)/2,
+
+with w_k = k (k + d - 1) the Laplacian eigenvalue of degree k on S^d, so
+that P_k'(1) = w_k / d.
 """
 
 import math
@@ -34,66 +37,44 @@ def clamp_unit(t):
 
 
 def gegenbauer_terms(alpha, n, t):
-    """Yield P_0(t), ..., P_n(t) by the three-term recurrence.
+    """Yield P_0(t), ..., P_n(t), P_k = C_k^alpha / C_k^alpha(1), for alpha >= 0.
 
-    For alpha > 0, P_k = C_k^alpha:
-        C_0 = 1,  C_1 = 2*alpha*t,
-        k C_k = 2(k+alpha-1) t C_{k-1} - (k+2*alpha-2) C_{k-2}.
-    For alpha = 0, P_k = T_k (T_1 = t, T_k = 2t T_{k-1} - T_{k-2}); multiply
-    by `renormalization(0, k)` to get the renormalized C_k^0.  t must be an
-    ndarray already in [-1, 1].
+        P_0 = 1,  P_1 = t,
+        P_k = t P_{k-1} + b_k (t P_{k-1} - P_{k-2}),  b_k = (k-1) / (k+2*alpha-1).
 
-    Each yielded array is fresh (P_1 at alpha = 0 is t itself) and is never
-    written afterwards, so a caller may keep it; it must not be modified
-    while the generator still needs it as P_{k-1} or P_{k-2}.  Each step is
-    computed in place in the new array with the textbook's rounding order,
-    so the values are bitwise those of the one-line expression above.
+    At alpha = 0 every b_k is 1 and P_k = T_k.  In this form P_k(1) = 1 and
+    P_k(-1) = (-1)^k hold exactly in floating point.  t must be an ndarray
+    already in [-1, 1].
+
+    P_1 is t itself and every later term is a fresh array.  Callers never
+    write a yielded array, so a caller may keep it; it must not be modified
+    while the generator still needs it as P_{k-1} or P_{k-2}.  Each step
+    runs in place, with one scratch array per generator, in the rounding
+    order of the expression above.
     """
     prev = np.ones_like(t)
     yield prev
     if n == 0:
         return
-    cur = t if alpha == 0.0 else 2.0 * alpha * t
+    cur = t
     yield cur
+    scratch = np.empty_like(t)
     for k in range(2, n + 1):
-        if alpha == 0.0:
-            nxt = np.multiply(2.0, t)
-            nxt *= cur
-            nxt -= prev
-        else:
-            nxt = np.multiply(2.0 * (k + alpha - 1.0), t)
-            nxt *= cur
-            nxt -= (k + 2.0 * alpha - 2.0) * prev
-            nxt /= k
+        tp = np.multiply(t, cur, out=scratch)
+        nxt = tp - prev
+        nxt *= (k - 1.0) / (k + 2.0 * alpha - 1.0)
+        nxt += tp
         prev, cur = cur, nxt
         yield cur
-
-
-def renormalization(alpha, k):
-    """Factor taking the k-th term of `gegenbauer_terms` to C_k^alpha.
-
-    2/k at alpha = 0 and k >= 1, where the term is T_k; 1 otherwise.
-    """
-    return 2.0 / k if alpha == 0.0 and k > 0 else 1.0
-
-
-def shift_factor(alpha, order):
-    """Constant c of the index shift d^r/dt^r C_k^alpha = c * C_{k-r}^{alpha+r}.
-
-    2*alpha for r = 1 and 4*alpha*(alpha+1) for r = 2; their alpha -> 0
-    limits under the renormalized convention are 2 and 4 (the derivatives
-    of (2/k) T_k are 2 C_{k-1}^1 and 4 C_{k-2}^2).
-    """
-    if order == 1:
-        return 2.0 * alpha if alpha > 0 else 2.0
-    return 4.0 * alpha * (alpha + 1.0) if alpha > 0 else 4.0
 
 
 def gegenbauer_at_one_exact(alpha2, k):
     """Exact rational C_k^alpha(1) for the integer alpha2 = 2*alpha.
 
-    The binomial C(k + alpha2 - 1, k), and 2/k under the renormalized
-    convention at alpha2 = 0, k >= 1.
+    The binomial C(k + alpha2 - 1, k), and 2/k at alpha2 = 0, k >= 1, for
+    the circle's C_k^0 = lim C_k^a / a = (2/k) T_k.  Nothing evaluates C_k
+    itself; `kernel-info` reads this to print the coefficients
+    lambda_k = dim_k / (w_k C_k(1)) of g in the C_k basis.
     """
     if k == 0:
         return Fraction(1)

@@ -3,15 +3,17 @@
 The configuration energy is |Phi|^2 = (1/N^2) sum_ij g(<x_i, x_j>) for the
 kernel profile
 
-    g(t) = sum_k  dim_k / (w_k * C_k(1)) * C_k^alpha(t),   alpha = (d-1)/2,
+    g(t) = sum_k  dim_k / w_k * P_k^alpha(t),   alpha = (d-1)/2,
 
-with Laplacian weights w_k = k (k + d - 1).  That Gram sum cancels O(1)
-terms down to the size of the energy, so the energy and its gradient are
-taken from its variational form instead: per degree, the squared norm of
-F_k(y) = (1/N) sum_i h_k(<x_i, y>), h_k = sqrt(w_k) lam_k C_k, read off the
-values of F_k at the M nodes of one zonal-span rule on every sphere (see
-`_energy_rule`).  Every term is a nonnegative square, so one float64 path
-resolves the energy with no cancellation, however small it is.  A call costs
+with Laplacian weights w_k = k (k + d - 1) and P_k = C_k / C_k(1) the
+Gegenbauer polynomial normalized to P_k(1) = 1 (T_k on the circle).  That
+Gram sum cancels O(1) terms down to the size of the energy, so the energy
+and its gradient are taken from its variational form instead: per degree,
+the squared norm E_k of F_k(y) = (1/N) sum_i h_k(<x_i, y>),
+h_k = sqrt(dim_k / w_k) P_k, read off the values of F_k at the M nodes of
+one zonal-span rule on every sphere (see `_energy_rule`).  Every term is a
+nonnegative square, so one float64 path resolves the energy with no
+cancellation, however small it is.  A call costs
 O(N M n) time; it forms no (N, N) array, and apart from X and the gradient
 rows it holds a few (N, block) arrays, with the M nodes taken in blocks of
 block = 2^16 // N.  Each such array is then about 512 KiB, so the four the
@@ -30,11 +32,8 @@ import numpy as np
 from .gegenbauer import (
     MAX_DEGREE,
     clamp_unit,
-    gegenbauer_at_one_exact,
     gegenbauer_terms,
     harmonic_dim,
-    renormalization,
-    shift_factor,
 )
 from .sphere import UNIT_TOL, as_coords, off_sphere_rows, tangent_rows
 
@@ -49,22 +48,21 @@ _SAMPLED_SEED = 0
 class KernelSpec:
     """Immutable precomputation for a sphere dimension d and strength n.
 
-    Carries the weights w_k, the kernel coefficients lam_k, and the
-    boundary constants g1 = g(1), gp1 = g'(1), gpp1 = g''(1), all backed
-    by exact rationals (alpha = (d-1)/2 makes every coefficient rational).
-    With C_k(1) = C(k+d-2, k) (2/k on S^1), lam_k = dim_k / (w_k C_k(1)),
-    and the Gegenbauer ratios C_k'(1) / C_k(1) = w_k / d and
-    C_k''(1) / C_k(1) = w_k (k-1)(k+d) / (d(d+2)) give the closed forms
+    Carries the weights w_k, the dimensions dim_k, and the exact series of
+    g and its first two derivatives in the normalized P_k of `gegenbauer`:
+    by the index shift d/dt P_k^alpha = (w_k / d) P_{k-1}^{alpha+1},
 
-        g(1) = sum_k dim_k / w_k,   g'(1) = sum_k dim_k / d,
-        g''(1) = sum_k dim_k (k-1)(k+d) / (d(d+2)).
+        g^(r)(t) = sum_k series[r]_k P_{k-r}^{alpha+r}(t),   r = 0, 1, 2,
+
+    with series[0]_k = dim_k / w_k, series[1]_k = dim_k / d and
+    series[2]_k = dim_k (k-1)(k+d) / (d(d+2)).  Since P_j(1) = 1, the
+    boundary constants g1 = g(1), gp1 = g'(1) and gpp1 = g''(1) are the
+    exact rational sums of those series, each rounded once to float64.
+    Raises ValueError when a stored constant, or 3 g''(1) + g'(1) under
+    `hessian_step_bound`, does not fit a float64.
     """
 
-    __slots__ = (
-        "d", "n", "alpha", "weights", "dims", "lam",
-        "g1", "gp1", "gpp1",
-        "_lam_exact",
-    )
+    __slots__ = ("d", "n", "alpha", "weights", "dims", "series", "g1", "gp1", "gpp1")
 
     def __init__(self, d, n):
         if d < 1:
@@ -74,24 +72,28 @@ class KernelSpec:
         self.d = d
         self.n = n
         self.alpha = (d - 1) / 2.0
-        ks = np.arange(1, n + 1)
-        self.weights = (ks * (ks + d - 1)).astype(float)
-        dims = [harmonic_dim(d, k) for k in range(1, n + 1)]
+        ks = range(1, n + 1)
+        weights = [k * (k + d - 1) for k in ks]
+        dims = [harmonic_dim(d, k) for k in ks]
+        self.weights = np.array(weights, dtype=float)
         self.dims = np.array(dims)
-
-        lam_exact = []
-        g1 = Fraction(0)
-        gpp1 = 0
-        for k, dim_k in enumerate(dims, 1):
-            w_k = k * (k + d - 1)
-            lam_exact.append(Fraction(dim_k) / (w_k * gegenbauer_at_one_exact(d - 1, k)))
-            g1 += Fraction(dim_k, w_k)
-            gpp1 += dim_k * (k - 1) * (k + d)
-        self._lam_exact = tuple(lam_exact)
-        self.lam = np.array([float(f) for f in lam_exact])
-        self.g1 = float(g1)
-        self.gp1 = float(Fraction(sum(dims), d))
-        self.gpp1 = float(Fraction(gpp1, d * (d + 2)))
+        # the series coefficients as exact (numerator, denominator) pairs
+        ratios = (
+            list(zip(dims, weights)),
+            [(dim, d) for dim in dims],
+            [(dim * (k - 1) * (k + d), d * (d + 2)) for k, dim in zip(ks, dims)],
+        )
+        try:
+            # int / int rounds the exact quotient once, or raises OverflowError
+            self.series = tuple(np.array([p / q for p, q in row]) for row in ratios)
+            self.g1, self.gp1, self.gpp1 = (
+                float(sum(Fraction(p, q) for p, q in row)) for row in ratios
+            )
+            finite = math.isfinite(3.0 * self.gpp1 + self.gp1)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"kernel constants for d={d}, n={n} do not fit a float64")
 
     def __repr__(self):
         return f"KernelSpec(d={self.d}, n={self.n})"
@@ -103,27 +105,20 @@ def make_kernel(d, n):
 
 
 def _eval_shifted(spec, t, shift):
-    """sum_k lam_k * d^shift/dt^shift C_k^alpha(t), via the index shift."""
+    """g^(shift)(t) = sum_k series[shift]_k P_{k-shift}^{alpha+shift}(t)."""
     t = clamp_unit(t)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    if spec.n < shift:
-        out = np.zeros_like(t)
-    else:
-        alpha = spec.alpha + shift
-        if shift == 0:
-            coeffs = np.concatenate([[0.0], spec.lam])  # g has no degree-0 term
-        else:
-            coeffs = shift_factor(spec.alpha, shift) * spec.lam[shift - 1:]
-        terms = gegenbauer_terms(alpha, len(coeffs) - 1, t)
-        out = coeffs[0] * next(terms)
-        for k, term in enumerate(terms, 1):
-            out += coeffs[k] * renormalization(alpha, k) * term
+    # coeffs[j] multiplies P_j; g has no degree-0 term
+    coeffs = np.concatenate([[0.0], spec.series[shift]])[shift:]
+    out = np.zeros_like(t)
+    for c, term in zip(coeffs, gegenbauer_terms(spec.alpha + shift, coeffs.size - 1, t)):
+        out += c * term
     return float(out[0]) if scalar else out
 
 
 def gw_eval(spec, t):
-    """Kernel profile g(t) = sum_k lam_k C_k^alpha(t); scalar or ndarray t."""
+    """Kernel profile g(t) = sum_k dim_k / w_k P_k^alpha(t); scalar or ndarray t."""
     return _eval_shifted(spec, t, 0)
 
 
@@ -182,12 +177,11 @@ def _energy_rule(d, n):
     """Seeded nodes Z and per-degree maps B_1..B_n of the zonal-span rule.
 
     M = 2 dim H_n random nodes z_a; degree k uses the first 2 dim H_k.  The
-    zonal kernels C_k(<., z_a>) span H_k, so C_k(<x, x'>) = c_x^T G^+ c_x'
-    for c_x = (C_k(<x, z_a>))_a and G = (C_k(<z_a, z_b>))_ab.  B_k holds the
-    dim H_k leading eigenvectors of G over sqrt(lambda), so G^+ = B_k B_k^T;
-    lambda carries `renormalization`, since the recurrence yields T_k at
-    d = 1.  A test pins the kept eigenvalues within 50x of each other and
-    the dropped ones below 1e-12 of the largest.
+    zonal kernels P_k(<., z_a>) span H_k, so P_k(<x, x'>) = p_x^T G^+ p_x'
+    for p_x = (P_k(<x, z_a>))_a and the Gram G = (P_k(<z_a, z_b>))_ab.  B_k
+    holds the dim H_k leading eigenvectors U of G over sqrt(lambda), so
+    G^+ = B_k B_k^T.  A test pins the kept eigenvalues within 50x of each
+    other and the dropped ones below 1e-12 of the largest.
     """
     size = energy_rule_size(d, n)
     alpha = (d - 1) / 2.0
@@ -199,7 +193,7 @@ def _energy_rule(d, n):
     for k, P in enumerate(terms, 1):
         h = harmonic_dim(d, k)
         lam, U = np.linalg.eigh(P[:2 * h, :2 * h])
-        maps.append(U[:, -h:] / np.sqrt(renormalization(alpha, k) * lam[-h:]))
+        maps.append(U[:, -h:] / np.sqrt(lam[-h:]))
     for a in (Z, *maps):
         a.flags.writeable = False
     return Z, tuple(maps)
@@ -212,12 +206,11 @@ def _node_blocks(N, M):
 
 
 def _fields(spec, X):
-    """F_k(z_a) = (1/N) sum_i h_k(<x_i, z_a>), h_k = sqrt(w_k) lam_k C_k,
+    """F_k(z_a) = (1/N) sum_i h_k(<x_i, z_a>), h_k = sqrt(dim_k / w_k) P_k,
     for k = 1..n at every node z_a of the zonal-span rule; shape (n, M)."""
     Z, _ = _energy_rule(spec.d, spec.n)
     N = X.shape[0]
-    coeffs = np.sqrt(spec.weights) * spec.lam / N
-    coeffs *= [renormalization(spec.alpha, k) for k in range(1, spec.n + 1)]
+    coeffs = np.sqrt(spec.series[0]) / N
     F = np.empty((spec.n, Z.shape[0]))
     for nodes in _node_blocks(N, Z.shape[0]):
         terms = gegenbauer_terms(spec.alpha, spec.n, X @ Z[nodes].T)
@@ -231,17 +224,17 @@ def _degree_energies(spec, F):
     """Per-degree energies E_1..E_n of the fields F = `_fields`(spec, X),
     as sums of squares.
 
-    By the addition theorem, integral h_k(<x, y>) h_k(<x', y>) dy equals
-    lam_k C_k(<x, x'>) for h_k = sqrt(w_k) lam_k C_k, so
-    E_k = (1/N^2) sum_ij lam_k C_k(<x_i, x_j>) is the squared norm of
-    F_k(y) = (1/N) sum_i h_k(<x_i, y>).  On the zonal-span rule of
-    `_energy_rule` that norm is E_k = |B_k^T F_k|^2 / (w_k lam_k).
+    E_k = (1/N^2) sum_ij dim_k / w_k P_k(<x_i, x_j>) is the degree-k part
+    of the Gram sum.  With h_k = sqrt(dim_k / w_k) P_k and
+    F_k = (1/N) sum_i h_k(<x_i, .>), the zonal-span rule of `_energy_rule`
+    gives P_k(<x, x'>) = p_x^T B_k B_k^T p_x', so E_k = |B_k^T F_k|^2, read
+    off F_k at the rule's nodes.
     """
     _, maps = _energy_rule(spec.d, spec.n)
     out = np.empty(spec.n)
     for k, B in enumerate(maps):
         v = B.T @ F[k, :B.shape[0]]
-        out[k] = (v @ v) / (spec.weights[k] * spec.lam[k])
+        out[k] = v @ v
     return out
 
 
@@ -265,21 +258,22 @@ def _gradient_raw(spec, X, F=None):
     """Spherical gradient rows of the energy, d E / d x_i, shape (N, d+1).
 
     The tangent part of sum_k V_k^T dF_k / dx_i on the rule and fields of
-    `_degree_energies`, with V_k = 2 B_k B_k^T F_k / (w_k lam_k) and
-    dF_k(z_a) / dx_i = (c_k / N) C_{k-1}^{alpha+1}(<x_i, z_a>) z_a, where
-    c_k = shift_factor(alpha, 1) sqrt(w_k) lam_k.  F, when given, must be
-    the fields of these same rows, as `_energy_raw(..., fields=True)`
-    returns them; the result is then bitwise the same.
+    `_degree_energies`, with V_k = 2 c_k B_k B_k^T F_k, where by the index
+    shift dF_k(z_a) / dx_i = c_k P_{k-1}^{alpha+1}(<x_i, z_a>) z_a and
+    c_k = sqrt(dim_k / w_k) (w_k / d) / N = sqrt(dim_k w_k) / (d N).  F, when
+    given, must be the fields of these same rows, as
+    `_energy_raw(..., fields=True)` returns them; the result is then bitwise
+    the same.
     """
     Z, maps = _energy_rule(spec.d, spec.n)
     N = X.shape[0]
     if F is None:
         F = _fields(spec, X)
-    c = shift_factor(spec.alpha, 1) * np.sqrt(spec.weights) * spec.lam / N
+    c = np.sqrt(spec.dims * spec.weights) / (spec.d * N)
     V = np.zeros_like(F)
     for k, B in enumerate(maps):
         m = B.shape[0]
-        V[k, :m] = 2.0 * c[k] / (spec.weights[k] * spec.lam[k]) * (B @ (B.T @ F[k, :m]))
+        V[k, :m] = 2.0 * c[k] * (B @ (B.T @ F[k, :m]))
     G = np.zeros_like(X)
     for nodes in _node_blocks(N, Z.shape[0]):
         terms = gegenbauer_terms(spec.alpha + 1.0, spec.n - 1, X @ Z[nodes].T)

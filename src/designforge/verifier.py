@@ -182,8 +182,8 @@ def _arc_width(L, m):
     return min(L, max(1, _BLOCK_DOUBLES // (2 * (m + 1))))
 
 
-def _arc_blocks(evaluate, rings, m):
-    """P at the rings' nodes, one block of arcs at a time.
+def _arc_blocks(rings, m):
+    """blocks(evaluate): P at the rings' nodes, one block of arcs at a time.
 
     Node j of a ring sits at phi_j = (j + 1/2) 2 pi / L.  Each ring is cut
     into arcs of B longitudes; arc a starts at node aB, and the short last
@@ -195,12 +195,12 @@ def _arc_blocks(evaluate, rings, m):
     2(m+1) multiply-adds per node.  A block is a run of whole arcs times
     all rings, or one arc times a run of rings, with its product of about
     _BLOCK_DOUBLES values (`_arc_width` bounds the table the same way).
-    Yields (first arc, first ring, block), the block shaped (arcs, rings,
-    B); the nodes past L are left to the caller.
+    blocks yields (first arc, first ring, block), the block shaped (arcs,
+    rings, B); the nodes past L are left to the caller.  The table and the
+    turns depend on (L, m) only and are built once, here.
     """
     L = rings.L
     R = rings.weight.size
-    c = _ring_coefficients(evaluate, rings, m)
     k = np.arange(m + 1)
     B = _arc_width(L, m)
     arcs = -(-L // B)
@@ -211,16 +211,22 @@ def _arc_blocks(evaluate, rings, m):
     arcs_per, rings_per = (step // R, R) if R <= step else (1, step)
     # the turn of arc a0 + j is that of a0 times that of j
     turns = np.exp(1j * _half_angles(2 * B * np.arange(arcs_per), k, L))
-    for a0 in range(0, arcs, arcs_per):
-        turn = np.exp(1j * _half_angles([2 * B * a0], k, L)) * turns[:arcs - a0]
-        for r0 in range(0, R, rings_per):
-            turned = np.multiply(turn[:, None, :], c[None, r0:r0 + rings_per], order="C")
-            block = turned.view(np.float64).reshape(-1, 2 * (m + 1)) @ table
-            yield a0, r0, block.reshape(turned.shape[0], turned.shape[1], B)
+
+    def blocks(evaluate):
+        c = _ring_coefficients(evaluate, rings, m)
+        for a0 in range(0, arcs, arcs_per):
+            turn = np.exp(1j * _half_angles([2 * B * a0], k, L)) * turns[:arcs - a0]
+            for r0 in range(0, R, rings_per):
+                turned = np.multiply(turn[:, None, :], c[None, r0:r0 + rings_per], order="C")
+                block = turned.view(np.float64).reshape(-1, 2 * (m + 1)) @ table
+                yield a0, r0, block.reshape(turned.shape[0], turned.shape[1], B)
+
+    return blocks
 
 
-def _ring_abs_integral(evaluate, rings, m):
-    """Quadrature of |P| over the rings' nodes, block by block.
+def _ring_abs_integral(rings, m):
+    """integral(evaluate): the quadrature of |P| over the rings' nodes,
+    block by block, with one `_arc_blocks` table for every P.
 
     P is never held at all R L nodes: each block of arcs is one matmul of
     about _BLOCK_DOUBLES values (`_arc_blocks`), whose |.| and weighted
@@ -228,13 +234,18 @@ def _ring_abs_integral(evaluate, rings, m):
     """
     L = rings.L
     B = _arc_width(L, m)
-    total = 0.0
-    for a0, r0, block in _arc_blocks(evaluate, rings, m):
-        np.abs(block, out=block)
-        # the short last arc, arc L // B when B does not divide L, ends at node L
-        block[L // B - a0:, :, L % B:] = 0.0
-        total += rings.weight[r0:r0 + block.shape[1]] @ block.sum(axis=(0, 2))
-    return float(total)
+    blocks = _arc_blocks(rings, m)
+
+    def integral(evaluate):
+        total = 0.0
+        for a0, r0, block in blocks(evaluate):
+            np.abs(block, out=block)
+            # the short last arc, arc L // B when B does not divide L, ends at node L
+            block[L // B - a0:, :, L % B:] = 0.0
+            total += rings.weight[r0:r0 + block.shape[1]] @ block.sum(axis=(0, 2))
+        return float(total)
+
+    return integral
 
 
 @dataclass
@@ -289,8 +300,10 @@ def mz_check(points, partition, m, trials=100, seed=0, min_nodes=1_000_000):
         raise ValueError(f"polynomial degree m must be in 1..{MAX_DEGREE}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rings = quadrature_rings(d, min_nodes, 2 * m + 1)
-    coarse = quadrature_rings(d, max(4096, min_nodes // 4), 2 * m + 1)
+    # one cos/sin table per grid, shared by all the trials
+    reference_integral = _ring_abs_integral(quadrature_rings(d, min_nodes, 2 * m + 1), m)
+    coarse_rings = quadrature_rings(d, max(4096, min_nodes // 4), 2 * m + 1)
+    coarse_integral = _ring_abs_integral(coarse_rings, m)
     spec_m = make_kernel(d, m)
     exponent_pool = list(monomial_exponents(d, m, 0)) if d <= MAX_MONOMIAL_DIM else None
 
@@ -301,9 +314,9 @@ def mz_check(points, partition, m, trials=100, seed=0, min_nodes=1_000_000):
             evaluate = _random_kernel_span(spec_m, d, rng)
         else:
             evaluate = _random_monomial_mixture(exponent_pool, d, rng)
-        reference = _ring_abs_integral(evaluate, rings, m)
+        reference = reference_integral(evaluate)
         if trial < 2:
-            check = _ring_abs_integral(evaluate, coarse, m)
+            check = coarse_integral(evaluate)
             if not abs(check - reference) <= 1e-3 * max(reference, 1e-12):
                 raise ArithmeticError("reference quadrature failed its grid consistency check")
         discrete = float(np.mean(np.abs(evaluate(X))))

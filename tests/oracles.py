@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from designforge.gegenbauer import gegenbauer_at_one_exact, harmonic_dim
 from designforge.kernel import gw_d1
 from designforge.sphere import TWO_PI, tangent_rows
 from designforge.verifier import _arc_blocks, _arc_width
@@ -22,6 +23,12 @@ def gp1_closed_form(d, n):
         total += Fraction((2 * k + d - 1) * math.factorial(k + d - 2),
                           math.factorial(k) * math.factorial(d))
     return float(total)
+
+
+def kernel_lambda(d, k):
+    """Exact coefficient lambda_k = dim_k / (w_k C_k(1)) of the kernel g in
+    the unnormalized C_k basis (2/k T_k on the circle), w_k = k (k+d-1)."""
+    return Fraction(harmonic_dim(d, k), k * (k + d - 1) * gegenbauer_at_one_exact(d - 1, k))
 
 
 def descent_velocities(spec, X):
@@ -76,6 +83,6 @@ def ring_values(evaluate, rings, m):
     R = rings.weight.size
     B = _arc_width(L, m)
     values = np.empty((R, -(-L // B), B))
-    for a0, r0, block in _arc_blocks(evaluate, rings, m):
+    for a0, r0, block in _arc_blocks(rings, m)(evaluate):
         values[r0:r0 + block.shape[1], a0:a0 + block.shape[0]] = block.transpose(1, 0, 2)
     return values.reshape(R, -1)[:, :L]

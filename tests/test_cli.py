@@ -1,10 +1,12 @@
 """CLI regression tests: hostile input maps to its documented exit code."""
 
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +317,29 @@ def test_oversized_energy_rule_is_a_usage_error(argv, capsys, tmp_path, monkeypa
     assert "no energy rule for d=" in err
     assert "Traceback" not in err
     assert not (tmp_path / "unused.json").exists()
+
+
+@pytest.mark.parametrize("d", [2536, 2537])
+def test_kernel_constants_beyond_float64_are_a_usage_error(d, capsys):
+    # at n = 200, d = 2536 printed a Hessian bound of inf with exit 0, and
+    # d = 2537 ended in an OverflowError traceback
+    assert cli.main(["kernel-info", "-d", str(d), "-n", "200"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert f"kernel constants for d={d}, n=200 do not fit a float64" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_kernel_info_direct_gp1_is_the_closed_form_at_the_largest_dimension(capsys):
+    # d = 2521 is the largest d whose constants fit a float64 at n = 200;
+    # the unnormalized C_k overflowed there and the direct g'(1) read nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["kernel-info", "-d", "2521", "-n", "200"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    closed, direct = (float(line.split()[2]) for line in lines if line.startswith("g'(1)"))
+    assert math.isfinite(direct)
+    assert direct == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
 _SMALL_GENERATE = ["generate", "-d", "1", "-n", "2", "-N", "3", "-o", "out.json"]

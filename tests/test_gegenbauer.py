@@ -10,20 +10,18 @@ from designforge.gegenbauer import (
     gegenbauer_at_one_exact,
     gegenbauer_terms,
     harmonic_dim,
-    renormalization,
-    shift_factor,
 )
 
 
 def _gegenbauer(alpha, k, t):
-    """C_k^alpha(t): the last term of `gegenbauer_terms`, renormalized at alpha = 0."""
+    """P_k^alpha(t) = C_k^alpha(t) / C_k^alpha(1): the last term of `gegenbauer_terms`."""
     for term in gegenbauer_terms(alpha, k, np.atleast_1d(np.asarray(t, dtype=float))):
         pass
-    out = renormalization(alpha, k) * term
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return float(term[0]) if np.ndim(t) == 0 else term
 
 
 def _at_one(alpha, k):
+    """C_k^alpha(1), and 2/k for the circle's C_k^0 = (2/k) T_k."""
     return float(gegenbauer_at_one_exact(round(2 * alpha), k))
 
 
@@ -42,7 +40,10 @@ def _at_one_rising(alpha2, k):
 
 
 def test_eval_degree_one_is_2_alpha_t():
-    assert _gegenbauer(1.0, 1, 0.3) == pytest.approx(0.6, abs=1e-15)
+    # P_1 = t, and C_1 = C_1(1) P_1 = 2 alpha t
+    for alpha in (0.0, 0.5, 1.0, 2.5):
+        assert _gegenbauer(alpha, 1, 0.3) == 0.3
+    assert _at_one(1.0, 1) * _gegenbauer(1.0, 1, 0.3) == pytest.approx(0.6, abs=1e-15)
 
 
 def test_eval_matches_legendre_p2():
@@ -51,9 +52,13 @@ def test_eval_matches_legendre_p2():
 
 
 def test_value_at_one_binomial():
-    # C(2*1.5 + 3 - 1, 3) = C(5, 3) = 10
-    assert _gegenbauer(1.5, 3, 1.0) == pytest.approx(10.0, rel=1e-13)
+    from scipy.special import eval_gegenbauer
+
+    # C(2*1.5 + 3 - 1, 3) = C(5, 3) = 10, the normalizer of P_3 = C_3 / C_3(1)
+    assert _gegenbauer(1.5, 3, 1.0) == 1.0
     assert _at_one(1.5, 3) == 10.0
+    assert _at_one(1.5, 3) * _gegenbauer(1.5, 3, 0.3) == pytest.approx(
+        eval_gegenbauer(3, 1.5, 0.3), rel=1e-13)
 
 
 def test_at_one_legendre_is_one():
@@ -67,8 +72,19 @@ def test_at_one_alpha1():
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 4.5])
 def test_recurrence_matches_closed_form_at_one(alpha):
+    # P_k(1) = 1, and the binomial normalizer is scipy's C_k^alpha(1)
+    from scipy.special import eval_gegenbauer
+
     for k, term in enumerate(gegenbauer_terms(alpha, 60, np.ones(1))):
-        assert term[0] == pytest.approx(_at_one(alpha, k), rel=1e-11), k
+        assert term[0] == 1.0, k
+        assert _at_one(alpha, k) == pytest.approx(eval_gegenbauer(k, alpha, 1.0), rel=1e-11), k
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.5, 17.0, 1267.5])
+def test_values_at_plus_and_minus_one_are_exact(alpha):
+    ends = np.array([1.0, -1.0])
+    for k, term in enumerate(gegenbauer_terms(alpha, 200, ends)):
+        assert term[0] == 1.0 and term[1] == (-1.0) ** k, (alpha, k)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -76,13 +92,18 @@ def test_bounded_by_value_at_one(alpha):
     grid = np.linspace(-1.0, 1.0, 1001)
     for k in (1, 2, 5, 12, 20):
         vals = _gegenbauer(alpha, k, grid)
-        assert np.max(np.abs(vals)) <= _at_one(alpha, k) * (1 + 1e-12)
+        assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
 
 def _derivative(alpha, k, t, order):
-    """The index shift d^r/dt^r C_k^alpha = shift_factor(alpha, r) C_{k-r}^{alpha+r},
-    which the kernel's gradient and g' rely on."""
-    return shift_factor(alpha, order) * _gegenbauer(alpha + order, k - order, t)
+    """The index shift d/dt P_k^alpha = (w_k / d) P_{k-1}^{alpha+1}, with
+    d = 2 alpha + 1 and w_k = k (k + d - 1), applied `order` times: the
+    identity the kernel's gradient, g' and g'' rely on."""
+    factor = 1.0
+    for j in range(order):
+        a, m = alpha + j, k - j
+        factor *= m * (m + 2.0 * a) / (2.0 * a + 1.0)
+    return factor * _gegenbauer(alpha + order, k - order, t)
 
 
 def test_derivative_legendre_at_one():
@@ -116,9 +137,10 @@ def _central_difference(alpha, k, t, order, h):
             + _gegenbauer(alpha, k, t - h)) / h**2
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
 @pytest.mark.parametrize("order", [1, 2])
 def test_derivative_identities_fd_sweep(alpha, order):
+    # d = 2 alpha + 1 = 1..6
     # Richardson-extrapolated central differences (h^2 truncation cancelled)
     h = 2e-5 if order == 1 else 2e-4
     for k in (2, 3, 7, 12):
@@ -140,12 +162,16 @@ def test_domain_validation():
 
 
 def test_alpha_zero_chebyshev_limit():
-    # renormalized circle convention: C_k^0 = (2/k) T_k
+    # on the circle P_k^0 = T_k, and C_k^0 = lim C_k^a / a = (2/k) T_k, so
+    # the exact value at one is 2/k (scipy's C_k^a / a at a small a)
+    from scipy.special import eval_gegenbauer
+
+    a = 1e-9
     for k in (1, 2, 5, 9):
         assert _at_one(0.0, k) == pytest.approx(2.0 / k, rel=1e-15)
+        assert _at_one(0.0, k) == pytest.approx(eval_gegenbauer(k, a, 1.0) / a, rel=1e-7)
         theta = 0.7
-        expected = (2.0 / k) * math.cos(k * theta)
-        assert _gegenbauer(0.0, k, math.cos(theta)) == pytest.approx(expected, abs=1e-13)
+        assert _gegenbauer(0.0, k, math.cos(theta)) == pytest.approx(math.cos(k * theta), abs=1e-13)
 
 
 def test_at_one_binomial_matches_rising_factorial():
@@ -155,8 +181,10 @@ def test_at_one_binomial_matches_rising_factorial():
 
 
 def _derivative_at_one_exact(d, k, order):
-    """d^r/dt^r C_k^alpha at 1, alpha = (d-1)/2, by the index shift in exact
-    rationals; shift_factor's constants, with their alpha -> 0 limits."""
+    """d^r/dt^r C_k^alpha at 1, alpha = (d-1)/2, by the index shift
+    d^r/dt^r C_k^alpha = c C_{k-r}^{alpha+r} in exact rationals: c = 2 alpha
+    for r = 1 and 4 alpha (alpha+1) for r = 2, with their limits 2 and 4 for
+    the circle's (2/k) T_k."""
     if k < order:
         return Fraction(0)
     alpha2 = d - 1
@@ -235,8 +263,8 @@ def orthogonality_residual(alpha, m, n, grid_size=256):
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
     nodes, weights = roots_jacobi(grid_size, alpha - 0.5, alpha - 0.5)
-    fm = _gegenbauer(alpha, m, nodes)
-    fn = fm if m == n else _gegenbauer(alpha, n, nodes)
+    fm = _at_one(alpha, m) * _gegenbauer(alpha, m, nodes)
+    fn = fm if m == n else _at_one(alpha, n) * _gegenbauer(alpha, n, nodes)
     numeric = float(np.dot(weights, fm * fn))
     return abs(numeric - _orthogonality_constant(alpha, m, n))
 
@@ -281,35 +309,31 @@ def test_orthogonality_grid_size_validation():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.5, 4.5])
 def test_generator_matches_scipy(alpha):
-    # an oracle outside the package: scipy's C_k^alpha, and (2/k) T_k at alpha = 0
+    # an oracle outside the package: scipy's C_k^alpha / C_k^alpha(1), and T_k at alpha = 0
     from scipy.special import eval_chebyt, eval_gegenbauer
 
     t = np.concatenate([np.linspace(-1.0, 1.0, 201), [-0.999999, 0.123456789]])
     for k, term in enumerate(gegenbauer_terms(alpha, 30, t)):
-        ours = renormalization(alpha, k) * term
         if alpha == 0.0:
-            ref = eval_chebyt(k, t) * (2.0 / k if k else 1.0)
+            ref = eval_chebyt(k, t)
         else:
-            ref = eval_gegenbauer(k, alpha, t)
-        assert np.max(np.abs(ours - ref)) <= 1e-12 * _at_one(alpha, k), (alpha, k)
+            ref = eval_gegenbauer(k, alpha, t) / eval_gegenbauer(k, alpha, 1.0)
+        assert np.max(np.abs(term - ref)) <= 1e-12, (alpha, k)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 5.5])
 def test_generator_is_bitwise_the_textbook_recurrence(alpha):
     # the in-place steps keep the one-line expression's rounding order
     t = np.concatenate([np.linspace(-1.0, 1.0, 301), [-0.999999, 0.123456789]])
-    expected = [np.ones_like(t), t if alpha == 0.0 else 2.0 * alpha * t]
+    expected = [np.ones_like(t), t]
     for k in range(2, 41):
         prev, cur = expected[-2], expected[-1]
-        if alpha == 0.0:
-            expected.append(2.0 * t * cur - prev)
-        else:
-            expected.append((2.0 * (k + alpha - 1.0) * t * cur - (k + 2.0 * alpha - 2.0) * prev) / k)
+        expected.append(t * cur + (k - 1.0) / (k + 2.0 * alpha - 1.0) * (t * cur - prev))
     kept, copies = [], []
     for term in gegenbauer_terms(alpha, 40, t):
         kept.append(term)
         copies.append(term.copy())
-    assert len(kept) == 41
+    assert len(kept) == 41 and kept[1] is t
     for k, (term, copy, ref) in enumerate(zip(kept, copies, expected)):
         assert np.array_equal(copy, ref), (alpha, k)
         # still intact once the generator is exhausted: no buffer is reused

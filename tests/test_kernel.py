@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from designforge import kernel
-from designforge.gegenbauer import gegenbauer_terms, harmonic_dim, renormalization
+from designforge.gegenbauer import gegenbauer_at_one_exact, gegenbauer_terms, harmonic_dim
 from designforge.kernel import (
     Configuration,
     _degree_energies,
@@ -37,7 +37,7 @@ from exact_designs import (
     twenty_four_cell,
     unit_rows,
 )
-from oracles import gp1_closed_form
+from oracles import gp1_closed_form, kernel_lambda
 
 TETRA = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
@@ -53,7 +53,7 @@ def _random_rows(spec, N, seed):
 
 def test_make_kernel_d2_n1_constants():
     s = make_kernel(2, 1)
-    assert s.lam[0] == pytest.approx(1.5, rel=1e-15)
+    assert [c[0] for c in s.series] == [1.5, 1.5, 0.0]
     assert s.g1 == pytest.approx(1.5, rel=1e-15)
     assert s.gp1 == pytest.approx(1.5, rel=1e-15)
     assert s.gpp1 == 0.0
@@ -69,7 +69,8 @@ def test_make_kernel_invariants():
     for d in (1, 2, 3, 4):
         for n in (1, 3, 9):
             s = make_kernel(d, n)
-            assert np.all(s.lam > 0.0)
+            assert np.all(s.series[0] > 0.0) and np.all(s.series[1] > 0.0)
+            assert s.series[2][0] == 0.0 and np.all(s.series[2][1:] > 0.0)
             assert s.g1 == pytest.approx(float(np.sum(s.dims / s.weights)), rel=1e-14)
             assert s.gpp1 < n**2 * s.gp1
 
@@ -81,6 +82,12 @@ def test_make_kernel_validation():
         make_kernel(2, 201)
     with pytest.raises(ValueError):
         make_kernel(0, 3)
+    # at n = 200, g''(1) fits a float64 up to d = 2536, but 3 g''(1) + g'(1)
+    # under the Hessian bound only up to d = 2521
+    assert math.isfinite(hessian_step_bound(make_kernel(2521, 200)))
+    for d in (2522, 2537):
+        with pytest.raises(ValueError, match="do not fit a float64"):
+            make_kernel(d, 200)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -106,8 +113,8 @@ def test_gw_eval_direct_sum_cross_check():
         alpha = (d - 1) / 2.0
         for t in (-0.8, -0.1, 0.33, 0.9):
             direct = sum(
-                s.lam[k - 1] * (eval_gegenbauer(k, alpha, t) if alpha > 0
-                                else (2.0 / k) * math.cos(k * math.acos(t)))
+                float(kernel_lambda(d, k)) * (eval_gegenbauer(k, alpha, t) if alpha > 0
+                                              else (2.0 / k) * math.cos(k * math.acos(t)))
                 for k in range(1, n + 1)
             )
             assert gw_eval(s, t) == pytest.approx(direct, rel=1e-12)
@@ -188,8 +195,6 @@ def test_energy_by_degree_antipodal():
 
 
 def test_energy_by_degree_single_point():
-    from designforge.gegenbauer import gegenbauer_at_one_exact
-
     for d, n in ((1, 4), (2, 4), (3, 3)):
         s = make_kernel(d, n)
         x = np.zeros((1, d + 1))
@@ -197,7 +202,7 @@ def test_energy_by_degree_single_point():
         parts = _degree_energies(s, _fields(s, x))
         alpha = (d - 1) / 2.0
         for k in range(1, n + 1):
-            expected = s.lam[k - 1] * float(gegenbauer_at_one_exact(d - 1, k))
+            expected = float(kernel_lambda(d, k) * gegenbauer_at_one_exact(d - 1, k))
             assert parts[k - 1] == pytest.approx(expected, rel=1e-12)
             assert parts[k - 1] > 0.0
 
@@ -341,7 +346,8 @@ def _mpmath_gram_energy(spec, X):
     with mpmath.workprec(200):
         P = [[mpmath.mpf(float(v)) for v in row] for row in X]
         P = [[v / mpmath.sqrt(mpmath.fsum(u * u for u in row)) for v in row] for row in P]
-        lam = [mpmath.mpf(f.numerator) / f.denominator for f in spec._lam_exact]
+        lam = [mpmath.mpf(f.numerator) / f.denominator
+               for f in map(kernel_lambda, [spec.d] * spec.n, range(1, spec.n + 1))]
 
         def g(t):
             return mpmath.fsum(lam_k * _explicit_gegenbauer(spec.d, k, t)
@@ -412,7 +418,7 @@ def test_zonal_span_rule_is_well_conditioned(d, n):
     next(terms)
     for k, (P, B) in enumerate(zip(terms, maps), 1):
         h = harmonic_dim(d, k)
-        G = renormalization(alpha, k) * P[:2 * h, :2 * h]
+        G = P[:2 * h, :2 * h]
         lam = np.linalg.eigvalsh(G)
         kept, dropped = lam[-h:], lam[:-h]
         assert kept[-1] <= 50.0 * kept[0], (k, kept[-1] / kept[0])

@@ -19,6 +19,7 @@ from designforge.kernel import (
     make_kernel,
 )
 from designforge.sphere import _geodesic_rows, tangent_rows
+from oracles import kernel_lambda
 
 # derandomized, so that a tier-1 run is reproducible; no example database
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -79,7 +80,7 @@ def test_energy_by_degree_is_nonnegative_and_sums_to_the_energy(case):
     # independent route that cancels terms of size lam_k C_k(1)
     t = np.clip(X @ X.T, -1.0, 1.0)
     for k in range(1, spec.n + 1):
-        lam = spec.lam[k - 1]
+        lam = float(kernel_lambda(spec.d, k))
         gram = lam * scipy_gegenbauer(spec.alpha, k, t).sum() / X.shape[0] ** 2
         at_one = float(gegenbauer_at_one_exact(spec.d - 1, k))
         assert abs(parts[k - 1] - gram) <= 1e-12 * lam * at_one, k

@@ -51,7 +51,7 @@ def test_ring_values_match_direct_evaluation(d, min_nodes, m, kind):
     assert resampled.size == pts.shape[0]
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(resampled.ravel() - direct)) <= 1e-12 * scale
-    integral = verifier._ring_abs_integral(evaluate, rings, m)
+    integral = verifier._ring_abs_integral(rings, m)(evaluate)
     assert integral == pytest.approx(float(w @ np.abs(direct)), rel=1e-12)
 
 
@@ -67,7 +67,7 @@ def test_short_arcs_match_direct_evaluation(d, min_nodes, m, monkeypatch):
     assert verifier._arc_width(rings.L, m) < rings.L
     resampled = ring_values(evaluate, rings, m)
     assert np.max(np.abs(resampled.ravel() - direct)) <= 1e-12 * np.max(np.abs(direct))
-    integral = verifier._ring_abs_integral(evaluate, rings, m)
+    integral = verifier._ring_abs_integral(rings, m)(evaluate)
     assert integral == pytest.approx(float(w @ np.abs(direct)), rel=1e-12)
 
 
@@ -79,7 +79,7 @@ def test_ring_abs_integral_holds_no_full_grid_array(d, m):
     evaluate = _trial(d, m, "kernel", [d, m])
     tracemalloc.start()
     try:
-        verifier._ring_abs_integral(evaluate, rings, m)
+        verifier._ring_abs_integral(rings, m)(evaluate)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
