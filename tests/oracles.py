@@ -9,7 +9,12 @@ import numpy as np
 from designforge.gegenbauer import gegenbauer_at_one_exact, harmonic_dim
 from designforge.kernel import gw_d1
 from designforge.sphere import TWO_PI, tangent_rows
-from designforge.verifier import _arc_blocks, _arc_width
+from designforge.verifier import (
+    _arc_blocks,
+    _arc_width,
+    monomial_exponents,
+    monomial_sphere_integral,
+)
 
 
 def gp1_closed_form(d, n):
@@ -86,3 +91,26 @@ def ring_values(evaluate, rings, m):
     for a0, r0, block in _arc_blocks(rings, m)(evaluate):
         values[r0:r0 + block.shape[1], a0:a0 + block.shape[0]] = block.transpose(1, 0, 2)
     return values.reshape(R, -1)[:, :L]
+
+
+def worst_monomial_deviation_loop(X, n):
+    """Max |mean x^a - integral x^a| over monomials of degree 1..n, one
+    monomial at a time in `monomial_exponents` order: the per-monomial loop
+    that `verifier.worst_monomial_deviation` evaluates in blocks, bit for
+    bit.  Returns (worst, witness_exponents), the witness the first max."""
+    d = X.shape[1] - 1
+    powers = [
+        np.stack([X[:, c] ** e for e in range(n + 1)]) for c in range(d + 1)
+    ]
+    worst = -1.0
+    witness = None
+    for a in monomial_exponents(d, n):
+        vals = powers[0][a[0]].copy()
+        for c in range(1, d + 1):
+            if a[c]:
+                vals *= powers[c][a[c]]
+        deviation = abs(float(np.mean(vals)) - monomial_sphere_integral(a))
+        if deviation > worst:
+            worst = deviation
+            witness = a
+    return worst, witness

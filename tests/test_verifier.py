@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from designforge import cli, verifier
-from designforge.kernel import make_kernel
+from designforge.kernel import _BLOCK_DOUBLES, make_kernel
 from designforge.sphere import eq_partition
 from designforge.verifier import (
     is_design,
@@ -18,9 +18,19 @@ from designforge.verifier import (
     mz_check,
     quadrature_rings,
     sphere_quadrature_grid,
+    worst_monomial_deviation,
 )
-from exact_designs import cube, icosahedron, octahedron, polygon, six_hundred_cell, unit_rows
-from oracles import ring_values
+from exact_designs import (
+    cross_polytope,
+    cube,
+    icosahedron,
+    octahedron,
+    polygon,
+    six_hundred_cell,
+    twenty_four_cell,
+    unit_rows,
+)
+from oracles import ring_values, worst_monomial_deviation_loop
 
 
 def _trial(d, m, kind, seed):
@@ -303,13 +313,95 @@ def test_is_design_on_exact_designs(design, strength):
     assert sum(witness) == strength + 1
 
 
+def _with_row(X, i, row):
+    X = X.copy()
+    X[i] = row
+    return X
+
+
 def test_is_design_rejects_non_finite_and_non_unit_rows():
-    with pytest.raises(ValueError):
-        is_design(np.full((12, 3), np.nan), 2, 1e-9)
-    X = icosahedron()
-    X[5] *= 1.0 + 1e-10
-    with pytest.raises(ValueError):
-        is_design(X, 2, 1e-9)
+    # a garbage row must not come back as a deviation below every tolerance
+    ico = icosahedron()
+    for X in [
+        np.full((12, 3), np.nan),
+        _with_row(ico, 3, [np.nan, 0.0, 1.0]),
+        np.full((12, 3), np.inf),
+        _with_row(ico, 7, [np.inf, -np.inf, 0.0]),
+        _with_row(ico, 5, ico[5] * (1.0 + 1e-10)),
+        _with_row(ico, 0, 0.0),
+        np.empty((0, 3)),
+    ]:
+        with pytest.raises(ValueError):
+            worst_monomial_deviation(X, 2)
+        with pytest.raises(ValueError):
+            is_design(X, 2, 1e-9)
+
+
+def _perturbed(X, seed):
+    rng = np.random.default_rng(seed)
+    return unit_rows(X + 1e-3 * rng.standard_normal(X.shape))
+
+
+def _random_rows(N, d, seed):
+    return unit_rows(np.random.default_rng(seed).standard_normal((N, d + 1)))
+
+
+def _noisy_tetrahedron(seed):
+    rng = np.random.default_rng(seed)
+    tetrahedron = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+    return unit_rows(tetrahedron + 0.05 * rng.standard_normal((4, 3)))
+
+
+# exact designs at and above their strength (ties of rounding-sized
+# deviations), perturbed copies, random rows (N = 1, N within one block, N
+# over many blocks of monomials, and N > _BLOCK_DOUBLES, one monomial a
+# block), and noisy tetrahedra, whose worst monomial x0 x1 x2 has three
+# factors, so that the bits show the order in which they are multiplied
+ORACLE_CASES = [
+    ("12-gon", polygon(12), (11, 12)),
+    ("icosahedron", icosahedron(), (5, 6)),
+    ("24-cell", twenty_four_cell(), (5, 6)),
+    ("600-cell", six_hundred_cell(), (11, 12)),
+    ("cross-polytope S^4", cross_polytope(4), (3, 12)),
+    ("perturbed 12-gon", _perturbed(polygon(12), 1), (11, 12)),
+    ("perturbed icosahedron", _perturbed(icosahedron(), 2), (5, 12)),
+    ("perturbed 24-cell", _perturbed(twenty_four_cell(), 3), (5, 12)),
+    ("perturbed 600-cell", _perturbed(six_hundred_cell(), 4), (11, 12)),
+    ("perturbed cross-polytope S^4", _perturbed(cross_polytope(4), 5), (3, 12)),
+] + [
+    (f"random N={N} S^{d}", _random_rows(N, d, 10 * d + N), (1, 12))
+    for d in (1, 2, 3, 4) for N in (1, 37, 1000)
+] + [
+    (f"random N={_BLOCK_DOUBLES + 3} S^{d}", _random_rows(_BLOCK_DOUBLES + 3, d, d), (1, 2))
+    for d in (1, 4)
+] + [
+    (f"noisy tetrahedron seed {seed}", _noisy_tetrahedron(seed), (3, 12)) for seed in range(8)
+]
+
+
+@pytest.mark.parametrize("X,strengths", [c[1:] for c in ORACLE_CASES],
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_worst_monomial_deviation_is_the_per_monomial_loop_bit_for_bit(X, strengths):
+    for n in strengths:
+        worst, witness = worst_monomial_deviation(X, n)
+        expected_worst, expected_witness = worst_monomial_deviation_loop(X, n)
+        assert (worst.hex(), witness) == (expected_worst.hex(), expected_witness), n
+        assert type(worst) is float and all(type(e) is int for e in witness)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_witness_of_all_zero_deviations_is_the_first_exponent(d, tmp_path, capsys):
+    # {+-e_d} averages every degree-1 monomial to 0 exactly, its integral
+    X = np.vstack([np.eye(d + 1)[d], -np.eye(d + 1)[d]])
+    passed, worst, witness = is_design(X, 1, 0.0)
+    assert passed and worst == 0.0
+    assert witness == (0,) * d + (1,)
+    assert witness == next(monomial_exponents(d, 1))
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"d": d, "N": 2, "points": X.tolist()}))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path), "-n", "1"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["witness"] == [0] * d + [1]
 
 
 # -- verify --mz end to end ----
