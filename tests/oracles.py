@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from designforge.gegenbauer import gegenbauer_at_one_exact, harmonic_dim
-from designforge.kernel import gw_d1
+from designforge.gegenbauer import gegenbauer_at_one_exact, gegenbauer_terms, harmonic_dim
+from designforge.kernel import _energy_rule, _node_blocks, gw_d1
 from designforge.sphere import TWO_PI, tangent_rows
 from designforge.verifier import (
     _arc_blocks,
@@ -114,3 +114,42 @@ def worst_monomial_deviation_loop(X, n):
             worst = deviation
             witness = a
     return worst, witness
+
+
+def fields_column_sums(spec, X):
+    """`kernel._fields` with each degree's column sums taken by
+    `term.sum(axis=0)`, as before they became a BLAS gemv."""
+    Z, _ = _energy_rule(spec.d, spec.n)
+    N = X.shape[0]
+    coeffs = np.sqrt(spec.series[0]) / N
+    F = np.empty((spec.n, Z.shape[0]))
+    for nodes in _node_blocks(N, Z.shape[0]):
+        terms = gegenbauer_terms(spec.alpha, spec.n, X @ Z[nodes].T)
+        next(terms)
+        for k, term in enumerate(terms):
+            F[k, nodes] = coeffs[k] * term.sum(axis=0)
+    return F
+
+
+def gradient_forward(spec, X, F=None):
+    """`kernel._gradient_raw` with sum_k V_k P_{k-1}^{alpha+1} accumulated
+    degree by degree over `gegenbauer_terms`, as before it became one
+    Clenshaw sum; its fields are `fields_column_sums`."""
+    Z, maps = _energy_rule(spec.d, spec.n)
+    N = X.shape[0]
+    if F is None:
+        F = fields_column_sums(spec, X)
+    c = np.sqrt(spec.dims * spec.weights) / (spec.d * N)
+    V = np.zeros_like(F)
+    for k, B in enumerate(maps):
+        m = B.shape[0]
+        V[k, :m] = 2.0 * c[k] * (B @ (B.T @ F[k, :m]))
+    G = np.zeros_like(X)
+    for nodes in _node_blocks(N, Z.shape[0]):
+        terms = gegenbauer_terms(spec.alpha + 1.0, spec.n - 1, X @ Z[nodes].T)
+        A = V[0, nodes] * next(terms)
+        scratch = np.empty_like(A)
+        for k, term in enumerate(terms, 1):
+            A += np.multiply(V[k, nodes], term, out=scratch)
+        G += A @ Z[nodes]
+    return tangent_rows(X, G)

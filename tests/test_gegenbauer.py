@@ -8,6 +8,7 @@ from scipy.special import roots_jacobi
 from designforge.gegenbauer import (
     clamp_unit,
     gegenbauer_at_one_exact,
+    gegenbauer_series,
     gegenbauer_terms,
     harmonic_dim,
 )
@@ -339,3 +340,89 @@ def test_generator_is_bitwise_the_textbook_recurrence(alpha):
         # still intact once the generator is exhausted: no buffer is reused
         assert np.array_equal(term, copy), (alpha, k)
     assert len({id(term) for term in kept}) == 41
+
+
+# the arguments of the series tests: a grid on [-1, 1], both ends, and
+# points crowded near +-1, where the recurrences lose the most
+SERIES_T = np.concatenate([
+    np.linspace(-1.0, 1.0, 201),
+    np.cos(np.geomspace(1e-8, 0.1, 40)),
+    -np.cos(np.geomspace(1e-8, 0.1, 40)),
+])
+
+
+def _series_tolerance(n):
+    """1e-14, or n^2 eps / 16 above n = 26.  Near t = +-1 Clenshaw's sum
+    loses up to about n^2 eps / 50 (1.9e-13 at n = 200, alpha = 0, where the
+    forward sum is good to 1e-16); away from them both routes agree to a
+    few 1e-15 even at n = 200."""
+    return max(1e-14, n * n * np.finfo(float).eps / 16.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.5, 17.0, 1260.5])
+@pytest.mark.parametrize("n", [0, 1, 2, 30, 200])
+def test_series_is_the_sum_over_the_terms(alpha, n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        c = rng.standard_normal(n + 1)
+        ref = sum(ck * P for ck, P in zip(c, gegenbauer_terms(alpha, n, SERIES_T)))
+        got = gegenbauer_series(alpha, c, SERIES_T)
+        assert got.shape == SERIES_T.shape
+        err = np.max(np.abs(got - ref))
+        assert err <= _series_tolerance(n) * np.sum(np.abs(c)), (alpha, n, err)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.5, 17.0, 1260.5])
+@pytest.mark.parametrize("n", [0, 1, 2, 30, 200])
+def test_series_matches_scipy(alpha, n):
+    # P_k = C_k / C_k(1) from scipy, and T_k at alpha = 0; at alpha = 1260.5
+    # scipy's C_k(1) overflows above some k, and the series stops there
+    from scipy.special import eval_chebyt, eval_gegenbauer
+
+    k = np.arange(n + 1)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if alpha == 0.0:
+            P = eval_chebyt(k, SERIES_T)
+        else:
+            P = eval_gegenbauer(k, alpha, SERIES_T) / eval_gegenbauer(k, alpha, 1.0)
+    finite = np.all(np.isfinite(P), axis=1)
+    m = int(np.argmin(finite)) if not finite.all() else n + 1
+    assert m >= min(n + 1, 31)
+    c = np.random.default_rng(n + 1).standard_normal(m)
+    err = np.max(np.abs(gegenbauer_series(alpha, c, SERIES_T) - c @ P[:m]))
+    assert err <= _series_tolerance(n) * np.sum(np.abs(c)), (alpha, n, m, err)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5, 17.0])
+def test_series_with_a_coefficient_column_per_column_of_t(alpha):
+    rng = np.random.default_rng(5)
+    n, M = 12, 7
+    t = np.clip(rng.uniform(-1.0, 1.0, (33, M)), -1.0, 1.0)
+    t_before = t.copy()
+    C = rng.standard_normal((n + 1, M))
+    got = gegenbauer_series(alpha, C, t)
+    assert got.shape == (33, M)
+    for j in range(M):
+        # each column runs the same elementwise steps as a series of its own
+        assert np.array_equal(got[:, j], gegenbauer_series(alpha, C[:, j], t[:, j])), j
+        ref = sum(ck * P for ck, P in zip(C[:, j], gegenbauer_terms(alpha, n, t[:, j])))
+        assert np.max(np.abs(got[:, j] - ref)) <= 1e-14 * np.sum(np.abs(C[:, j])), j
+    # one coefficient per degree broadcasts over a 2-D t
+    c = C[:, 0]
+    got = gegenbauer_series(alpha, c, t)
+    assert np.array_equal(got[:, 3], gegenbauer_series(alpha, c, t[:, 3]))
+    assert np.array_equal(t, t_before)
+
+
+def test_empty_series_is_zero():
+    from designforge.kernel import _eval_shifted, make_kernel
+
+    t = np.linspace(-1.0, 1.0, 9)
+    for alpha in (0.0, 0.5, 2.0):
+        assert np.array_equal(gegenbauer_series(alpha, np.empty(0), t), np.zeros(9))
+        assert np.array_equal(gegenbauer_series(alpha, np.empty((0, 9)), t[:, None]),
+                              np.zeros((9, 9)))
+    # g'' at n = 1 has no term: the kernel's shifted series is this empty sum
+    for d in (1, 2, 3, 4):
+        assert np.array_equal(_eval_shifted(make_kernel(d, 1), t, 2),
+                              gegenbauer_series((d + 1) / 2.0, np.empty(0), t))

@@ -37,7 +37,7 @@ from exact_designs import (
     twenty_four_cell,
     unit_rows,
 )
-from oracles import gp1_closed_form, kernel_lambda
+from oracles import fields_column_sums, gp1_closed_form, gradient_forward, kernel_lambda
 
 TETRA = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
@@ -467,6 +467,81 @@ def test_node_blocks_do_not_change_energy_or_gradient(d, n, N, monkeypatch):
     assert many[0] == pytest.approx(one[0], rel=1e-14, abs=0.0)
     assert np.max(np.abs(many[1] - one[1])) <= 1e-14 * np.max(np.abs(one[1]))
     assert np.allclose(many[2], one[2], rtol=1e-14, atol=0.0)
+
+
+# d = 1..6 at n in {1, 2, 6, 12}, leaving out (5, 12) and (6, 12), which
+# have no energy rule within its node budget
+FIELD_CASES = [
+    (d, n) for d in range(1, 7) for n in (1, 2, 6, 12)
+    if 2 * harmonic_dim(d, n) <= kernel._MAX_SAMPLED_NODES
+]
+
+
+def _one_and_several_node_blocks(d, n, N, monkeypatch):
+    """Yield twice: with every rule node in one block, then with 3 a block."""
+    M = energy_rule_size(d, n)
+    monkeypatch.setattr(kernel, "_BLOCK_DOUBLES", N * M)
+    assert len(kernel._node_blocks(N, M)) == 1
+    yield
+    monkeypatch.setattr(kernel, "_BLOCK_DOUBLES", 3 * N)
+    assert len(kernel._node_blocks(N, M)) > 1
+    yield
+
+
+@pytest.mark.parametrize("d, n", FIELD_CASES)
+def test_clenshaw_gradient_matches_the_forward_recurrence(d, n, monkeypatch):
+    spec = make_kernel(d, n)
+    X = _random_rows(spec, 29, d + n)
+    for _ in _one_and_several_node_blocks(d, n, 29, monkeypatch):
+        F = _fields(spec, X)
+        G = _gradient_raw(spec, X, F)
+        ref = gradient_forward(spec, X, F)
+        assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref)), (d, n)
+
+
+@pytest.mark.parametrize("d, n", FIELD_CASES)
+def test_gemv_fields_match_the_column_sums(d, n, monkeypatch):
+    spec = make_kernel(d, n)
+    X = _random_rows(spec, 29, d + n)
+    for _ in _one_and_several_node_blocks(d, n, 29, monkeypatch):
+        F = _fields(spec, X)
+        ref = fields_column_sums(spec, X)
+        assert np.max(np.abs(F - ref)) <= 1e-14 * np.max(np.abs(ref)), (d, n)
+
+
+def test_energy_rule_prefix_is_the_rule_built_alone():
+    # the cached rule of the largest n serves every smaller n of its sphere
+    for d, top in [(1, 40), (2, 14), (3, 7), (4, 5), (5, 4), (6, 3)]:
+        Z_top, maps_top = kernel._build_energy_rule(d, top)
+        for n in range(1, top + 1):
+            Z, maps = kernel._build_energy_rule(d, n)
+            assert np.array_equal(Z, Z_top[:energy_rule_size(d, n)]), (d, n)
+            assert len(maps) == n
+            for B, B_top in zip(maps, maps_top):
+                assert np.array_equal(B, B_top), (d, n)
+
+
+def test_energy_rule_is_built_once_per_sphere_as_n_grows(monkeypatch):
+    built = []
+
+    def build(d, n):
+        built.append((d, n))
+        return fresh(d, n)
+
+    fresh = kernel._build_energy_rule
+    monkeypatch.setattr(kernel, "_RULES", {})
+    monkeypatch.setattr(kernel, "_build_energy_rule", build)
+    for d, n in [(1, 12), (2, 5), (3, 11), (3, 11), (2, 5), (1, 12)]:
+        Z, maps = _energy_rule(d, n)
+        assert Z.shape == (energy_rule_size(d, n), d + 1) and len(maps) == n
+    assert built == [(1, 12), (2, 5), (3, 11)]
+    # a smaller n is a slice of the rule on hand; a larger one rebuilds it
+    Z, maps = _energy_rule(2, 3)
+    Z_fresh, maps_fresh = fresh(2, 3)
+    assert np.array_equal(Z, Z_fresh)
+    assert all(np.array_equal(B, C) for B, C in zip(maps, maps_fresh))
+    _energy_rule(2, 6)
+    assert built[3:] == [(2, 6)]
 
 
 def test_e8_roots_have_zero_energy_on_the_sampled_rule():
