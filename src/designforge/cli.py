@@ -7,6 +7,11 @@ byte-identical output files.
 
 Exit codes: 0 success/pass, 1 verification fail, 2 nonconvergence,
 64 usage error, 65 malformed data, 74 I/O failure.
+
+generate and verify build one certification report (`_certify`).  Its
+`pass` is the monomial check's verdict and exists only where that check ran,
+n <= MAX_MONOMIAL_DEGREE; past it generate reports no `pass`, and its exit 0
+means that the solve converged, not that the design was certified.
 """
 
 import argparse
@@ -32,7 +37,6 @@ from .solver import SolveOptions, initial_configuration, scaling_study, solve
 from .sphere import UNIT_TOL, Partition, eq_partition, off_sphere_rows
 from .verifier import (
     MAX_MONOMIAL_DEGREE,
-    MAX_MONOMIAL_DIM,
     MAX_MZ_DIM,
     is_design,
     mz_check,
@@ -297,6 +301,23 @@ def _check_energy_rule(d, n_values, parser):
             parser.error(str(exc))
 
 
+def _certify(X, spec, tol, partition, mz_degree, mz_trials, seed):
+    """The certification report of the rows X as a spec.n-design on S^spec.d.
+
+    It holds the kernel residual, then the monomial verdict (`worst_error`,
+    `witness`, `pass`) where spec.n <= MAX_MONOMIAL_DEGREE, then the MZ
+    check at mz_degree against the partition when one is given.
+    """
+    n = spec.n
+    report = {"n": n, "N": X.shape[0], "d": spec.d, "residual": design_residual(spec, X)}
+    if n <= MAX_MONOMIAL_DEGREE:
+        passed, worst, witness = is_design(X, n, tol)
+        report.update({"worst_error": worst, "witness": list(witness), "pass": passed})
+    if partition is not None:
+        report["mz"] = mz_check(X, partition, mz_degree, trials=mz_trials, seed=seed).to_dict()
+    return report
+
+
 def cmd_generate(args, parser):
     if args.d < 1:
         parser.error("-d must be >= 1")
@@ -336,49 +357,25 @@ def cmd_generate(args, parser):
         for i, (e, s) in enumerate(zip(report.energy_trace[1:], report.step_trace), 1):
             sys.stderr.write(f"iteration={i} energy={e:.6e} step={s:.6e}\n")
 
-    verification = None
-    if report.terminated == "converged":
-        mz = None
-        if args.d <= MAX_MZ_DIM and 2 * args.n <= MAX_DEGREE:
-            mz = mz_check(final.coords, partition, 2 * args.n,
-                          trials=_MZ_PIPELINE_TRIALS, seed=args.seed)
-        residual = design_residual(spec, final.coords)
-        verification = {"n": args.n, "N": chosen_N, "d": args.d, "residual": residual}
-        if args.d <= MAX_MONOMIAL_DIM and args.n <= MAX_MONOMIAL_DEGREE:
-            passed, worst, witness = is_design(final.coords, args.n, args.tol_monomial)
-            verification.update(
-                {"worst_error": worst, "witness": list(witness), "pass": passed}
-            )
-        else:
-            verification["pass"] = residual <= args.tol
-        if mz is not None:
-            verification["mz"] = mz.to_dict()
-
-    metadata = {"seed": args.seed, "tool-version": __version__}
-    if report.terminated == "converged":
-        metadata["residual"] = report.final_residual
-    if not args.no_timestamp:
-        metadata["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-    doc = {
-        "d": args.d,
-        "n": args.n,
-        "N": chosen_N,
-        "solve": report.to_dict(),
-    }
-    if verification is not None:
-        doc["verification"] = verification
-
-    if report.terminated == "converged":
+    doc = {"d": args.d, "n": args.n, "N": chosen_N, "solve": report.to_dict()}
+    converged = report.terminated == "converged"
+    if converged:
+        mz = args.d <= MAX_MZ_DIM and 2 * args.n <= MAX_DEGREE
+        doc["verification"] = _certify(final.coords, spec, args.tol_monomial,
+                                       partition if mz else None, 2 * args.n,
+                                       _MZ_PIPELINE_TRIALS, args.seed)
+        metadata = {"seed": args.seed, "tool-version": __version__,
+                    "residual": report.final_residual}
+        if not args.no_timestamp:
+            metadata["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         write_pointset(args.out, args.d, chosen_N, final.coords, n=args.n, metadata=metadata)
-        _write_text(_report_path(args.out), _json_text(report.to_dict()) + "\n")
-        _emit(doc)
-        # the MZ result is reported but does not gate: it tests the sampling,
-        # not the design claim
-        return EXIT_OK if verification["pass"] else EXIT_FAIL
     _write_text(_report_path(args.out), _json_text(report.to_dict()) + "\n")
     _emit(doc)
-    return EXIT_NOCONVERGENCE
+    if not converged:
+        return EXIT_NOCONVERGENCE
+    # the MZ result is reported but does not gate: it tests the sampling, not
+    # the design claim; above MAX_MONOMIAL_DEGREE there is no claim to gate
+    return EXIT_FAIL if doc["verification"].get("pass") is False else EXIT_OK
 
 
 def cmd_verify(args, parser):
@@ -389,11 +386,9 @@ def cmd_verify(args, parser):
     if args.mz is not None and args.mz_trials < 1:
         parser.error("--mz-trials must be >= 1")
     d, _, X = read_pointset(args.input)
-    if d > MAX_MONOMIAL_DIM or args.n > MAX_MONOMIAL_DEGREE:
-        parser.error(
-            f"monomial certification supports d <= {MAX_MONOMIAL_DIM}, "
-            f"n <= {MAX_MONOMIAL_DEGREE}"
-        )
+    if args.n > MAX_MONOMIAL_DEGREE:
+        parser.error(f"monomial certification supports n <= {MAX_MONOMIAL_DEGREE}")
+    _check_energy_rule(d, [args.n], parser)
     partition = None
     if args.mz is not None:
         if d > MAX_MZ_DIM:
@@ -405,23 +400,10 @@ def cmd_verify(args, parser):
             raise DataFormatError(
                 f"{args.mz}: partition has {partition.N} regions, points {X.shape[0]}"
             )
-    passed, worst, witness = is_design(X, args.n, args.tol)
-    spec = make_kernel(d, args.n)
-    residual = design_residual(spec, X)
-    doc = {
-        "n": args.n,
-        "N": X.shape[0],
-        "d": d,
-        "worst_error": worst,
-        "witness": list(witness),
-        "pass": passed,
-        "residual": residual,
-    }
-    if partition is not None:
-        mz = mz_check(X, partition, args.n, trials=args.mz_trials, seed=args.seed)
-        doc["mz"] = mz.to_dict()
-    _emit(doc)
-    return EXIT_OK if passed else EXIT_FAIL
+    verification = _certify(X, make_kernel(d, args.n), args.tol, partition, args.n,
+                            args.mz_trials, args.seed)
+    _emit(verification)
+    return EXIT_OK if verification["pass"] else EXIT_FAIL
 
 
 def _read_json(path):

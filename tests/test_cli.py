@@ -13,6 +13,7 @@ import pytest
 
 from designforge import cli
 from designforge.gegenbauer import MAX_DEGREE
+from exact_designs import cross_polytope, e8_roots
 
 
 def _polygon(N):
@@ -81,11 +82,6 @@ def test_verify_rows_off_the_unit_tolerance_are_data_errors(norm_error, tmp_path
     assert "Traceback" not in err
 
 
-def _cross_polytope(d):
-    """The 2(d+1) points +-e_i on S^d: a 3-design."""
-    return np.vstack([np.eye(d + 1), -np.eye(d + 1)])
-
-
 def _write_partition(path, d, N):
     assert cli.main(["partition", "-d", str(d), "-N", str(N), "-o", str(path)]) == cli.EXIT_OK
     return str(path)
@@ -101,17 +97,42 @@ def _verify_rejected(argv, capsys, code):
 
 
 def test_verify_mz_partition_on_another_sphere_is_a_data_error(tmp_path, capsys):
-    points = _write_json(tmp_path / "oct.json", _cross_polytope(2))
+    points = _write_json(tmp_path / "oct.json", cross_polytope(2))
     part = _write_partition(tmp_path / "p3.json", 3, 8)
     err = _verify_rejected(["verify", points, "-n", "3", "--mz", part], capsys, cli.EXIT_DATA)
     assert "partition is on S^3, points on S^2" in err
 
 
 def test_verify_mz_above_the_quadrature_dimension_is_a_usage_error(tmp_path, capsys):
-    points = _write_json(tmp_path / "cross4.json", _cross_polytope(4))
+    points = _write_json(tmp_path / "cross4.json", cross_polytope(4))
     part = _write_partition(tmp_path / "p4.json", 4, 10)
     err = _verify_rejected(["verify", points, "-n", "3", "--mz", part], capsys, cli.EXIT_USAGE)
     assert "--mz supports d <= 3" in err
+
+
+@pytest.mark.parametrize("design, n, code", [
+    (lambda: cross_polytope(5), 3, cli.EXIT_OK),
+    (lambda: cross_polytope(5), 4, cli.EXIT_FAIL),
+    (lambda: cross_polytope(8), 3, cli.EXIT_OK),
+    (lambda: cross_polytope(8), 4, cli.EXIT_FAIL),
+    (e8_roots, 5, cli.EXIT_OK),
+    (e8_roots, 6, cli.EXIT_OK),
+], ids=["cross5-3", "cross5-4", "cross8-3", "cross8-4", "e8-5", "e8-6"])
+def test_verify_certifies_past_four_dimensions(design, n, code, tmp_path, capsys):
+    X = design()
+    points = _write_json(tmp_path / "design.json", X)
+    assert cli.main(["verify", points, "-n", str(n)]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["d"], doc["N"], doc["pass"]) == (X.shape[1] - 1, X.shape[0], code == cli.EXIT_OK)
+
+
+@pytest.mark.parametrize("design, n", [(e8_roots, 7), (lambda: cross_polytope(12), 5)],
+                         ids=["e8-7", "cross12-5"])
+def test_verify_without_an_energy_rule_is_a_usage_error(design, n, tmp_path, capsys):
+    X = design()
+    points = _write_json(tmp_path / "design.json", X)
+    err = _verify_rejected(["verify", points, "-n", str(n)], capsys, cli.EXIT_USAGE)
+    assert f"no energy rule for d={X.shape[1] - 1}, n={n}" in err
 
 
 @pytest.mark.parametrize("missing", ["d", "bounds"])
@@ -289,6 +310,8 @@ def test_generate_in_high_dimension_converges(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["solve"]["terminated"] == "converged"
     assert 0.0 < doc["verification"]["residual"] <= 1e-12
+    # the monomial check runs past d = 4
+    assert doc["verification"]["worst_error"] <= 1e-9
     assert doc["verification"]["pass"] is True
 
 
@@ -301,7 +324,9 @@ def test_generate_above_half_the_max_degree_skips_the_mz_check(tmp_path, capsys)
     assert cli.main(argv) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["solve"]["terminated"] == "converged"
-    assert doc["verification"]["pass"] is True
+    # past MAX_MONOMIAL_DEGREE no monomial check runs, so nothing is certified
+    for key in ("pass", "worst_error", "witness"):
+        assert key not in doc["verification"]
     assert "mz" not in doc["verification"]
     assert out.exists()
 
@@ -394,6 +419,10 @@ def test_generate_and_verify_report_one_residual(tmp_path, capsys):
     assert 0.0 < residual <= 1e-12
     assert doc["verification"]["residual"] == residual
     assert verified["residual"] == residual
+    # one report: generate's verification is verify's, with the MZ check added
+    assert "mz" in doc["verification"]
+    del doc["verification"]["mz"]
+    assert list(doc["verification"].items()) == list(verified.items())
 
 
 def test_generate_exits_fail_when_its_own_verification_fails(tmp_path, capsys):

@@ -23,6 +23,7 @@ from designforge.verifier import (
 from exact_designs import (
     cross_polytope,
     cube,
+    e8_roots,
     icosahedron,
     octahedron,
     polygon,
@@ -303,6 +304,8 @@ def test_monomial_sphere_integral_rejects_bad_exponents():
     (cube, 3),
     (icosahedron, 5),
     (six_hundred_cell, 11),
+    (e8_roots, 7),
+    (lambda: cross_polytope(5), 3),
 ])
 def test_is_design_on_exact_designs(design, strength):
     X = design()
