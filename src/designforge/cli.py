@@ -11,7 +11,10 @@ Exit codes: 0 success/pass, 1 verification fail, 2 nonconvergence,
 generate and verify build one certification report (`_certify`).  Its
 `pass` is the monomial check's verdict and exists only where that check ran,
 n <= MAX_MONOMIAL_DEGREE; past it generate reports no `pass`, and its exit 0
-means that the solve converged, not that the design was certified.
+means that the solve converged, not that the design was certified.  The MZ
+check reads the points only: generate's runs at degree 2n, and
+`verify --mz FILE` checks the partition file's d and region count against
+the points and then runs it at degree n.
 """
 
 import argparse
@@ -301,20 +304,20 @@ def _check_energy_rule(d, n_values, parser):
             parser.error(str(exc))
 
 
-def _certify(X, spec, tol, partition, mz_degree, mz_trials, seed):
+def _certify(X, spec, tol, mz_degree, mz_trials, seed):
     """The certification report of the rows X as a spec.n-design on S^spec.d.
 
     It holds the kernel residual, then the monomial verdict (`worst_error`,
     `witness`, `pass`) where spec.n <= MAX_MONOMIAL_DEGREE, then the MZ
-    check at mz_degree against the partition when one is given.
+    check at mz_degree unless that is None.
     """
     n = spec.n
     report = {"n": n, "N": X.shape[0], "d": spec.d, "residual": design_residual(spec, X)}
     if n <= MAX_MONOMIAL_DEGREE:
         passed, worst, witness = is_design(X, n, tol)
         report.update({"worst_error": worst, "witness": list(witness), "pass": passed})
-    if partition is not None:
-        report["mz"] = mz_check(X, partition, mz_degree, trials=mz_trials, seed=seed).to_dict()
+    if mz_degree is not None:
+        report["mz"] = mz_check(X, mz_degree, trials=mz_trials, seed=seed).to_dict()
     return report
 
 
@@ -328,7 +331,7 @@ def cmd_generate(args, parser):
     _check_tolerance(args.tol_monomial, "--tol-monomial", parser, positive=False)
     _check_energy_rule(args.d, [args.n], parser)
     spec = make_kernel(args.d, args.n)
-    opts = SolveOptions(max_iterations=args.max_iter, tolerance=args.tol, seed=args.seed)
+    opts = SolveOptions(max_iterations=args.max_iter, tolerance=args.tol)
 
     if args.N == "auto":
         base = math.comb(args.n + args.d, args.d)
@@ -341,7 +344,7 @@ def cmd_generate(args, parser):
         if candidates[0] < 1:
             parser.error("-N must be >= 1")
 
-    final = report = partition = None
+    final = report = None
     chosen_N = None
     for N in candidates:
         partition = eq_partition(args.d, N)
@@ -362,7 +365,7 @@ def cmd_generate(args, parser):
     if converged:
         mz = args.d <= MAX_MZ_DIM and 2 * args.n <= MAX_DEGREE
         doc["verification"] = _certify(final.coords, spec, args.tol_monomial,
-                                       partition if mz else None, 2 * args.n,
+                                       2 * args.n if mz else None,
                                        _MZ_PIPELINE_TRIALS, args.seed)
         metadata = {"seed": args.seed, "tool-version": __version__,
                     "residual": report.final_residual}
@@ -389,7 +392,6 @@ def cmd_verify(args, parser):
     if args.n > MAX_MONOMIAL_DEGREE:
         parser.error(f"monomial certification supports n <= {MAX_MONOMIAL_DEGREE}")
     _check_energy_rule(d, [args.n], parser)
-    partition = None
     if args.mz is not None:
         if d > MAX_MZ_DIM:
             parser.error(f"--mz supports d <= {MAX_MZ_DIM}")
@@ -400,8 +402,8 @@ def cmd_verify(args, parser):
             raise DataFormatError(
                 f"{args.mz}: partition has {partition.N} regions, points {X.shape[0]}"
             )
-    verification = _certify(X, make_kernel(d, args.n), args.tol, partition, args.n,
-                            args.mz_trials, args.seed)
+    verification = _certify(X, make_kernel(d, args.n), args.tol,
+                            None if args.mz is None else args.n, args.mz_trials, args.seed)
     _emit(verification)
     return EXIT_OK if verification["pass"] else EXIT_FAIL
 
@@ -480,7 +482,7 @@ def cmd_study(args, parser):
             counts[n] = eval_count_rule(args.N_rule, n)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             parser.error(f"--N-rule at n={n}: {exc}")
-    opts = SolveOptions(max_iterations=args.max_iter, tolerance=args.tol, seed=args.seed)
+    opts = SolveOptions(max_iterations=args.max_iter, tolerance=args.tol)
     rows = scaling_study(args.d, n_values, lambda n: counts[n], opts, seed=args.seed)
     header = "d,n,N,converged,residual,iterations,seconds"
     lines = [header]

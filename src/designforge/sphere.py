@@ -8,14 +8,14 @@ moves along great circles; every point a region yields is such a row.
 
 The partition construction is recursive and zonal: two polar caps plus
 collars, each collar split by partitioning the cross-section sphere
-S^(d-1) with the same algorithm.  Region areas are then analytically
-exact products of cap-area differences, and region diameters admit
-analytic upper bounds (tight for caps and full bands).
+S^(d-1) with the same algorithm.  A partition is its bounds; region
+centers, areas (exact products of cap-area differences) and diameter
+bounds (tight for caps and full bands) are derived from them on first use.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -75,16 +75,14 @@ def off_sphere_rows(X):
 # -- cap geometry ----
 
 def cap_area_fraction(d, theta):
-    """Normalized area of the cap {colatitude <= theta} on S^d."""
+    """Normalized area of the cap {colatitude <= theta} on S^d; NaN for a NaN theta."""
     if theta <= 0.0:
         return 0.0
     if theta >= math.pi:
         return 1.0
-    if d == 1:
-        return theta / math.pi
-    if theta <= math.pi / 2.0:
-        return 0.5 * float(betainc(d / 2.0, 0.5, math.sin(theta) ** 2))
-    return 1.0 - cap_area_fraction(d, math.pi - theta)
+    if theta > math.pi / 2.0:
+        return 1.0 - cap_area_fraction(d, math.pi - theta)
+    return 0.5 * float(betainc(d / 2.0, 0.5, math.sin(theta) ** 2))
 
 
 def cap_colatitude(d, fraction):
@@ -95,8 +93,6 @@ def cap_colatitude(d, fraction):
         return 0.0
     if fraction == 1.0:
         return math.pi
-    if d == 1:
-        return fraction * math.pi
     if fraction > 0.5:
         return math.pi - cap_colatitude(d, 1.0 - fraction)
     s2 = float(betaincinv(d / 2.0, 0.5, 2.0 * fraction))
@@ -190,42 +186,14 @@ def sphere_quadrature_grid(d, min_nodes=1_000_000, min_longitudes=1):
     return points, np.repeat(rings.weight, rings.L)
 
 
-# -- regions and partitions ----
+# -- partitions ----
 
-@dataclass(frozen=True)
-class Region:
-    """Nested zonal bounds: levels[j] constrains the sphere of dim d - j.
-
-    On a sphere of dimension m >= 2 a level is a colatitude interval; on
-    the circle (m = 1) it is a longitude interval in [0, 2*pi].  Missing
-    levels mean the full cross-section.  Intervals are half-open [lo, hi)
-    except when hi reaches the domain end (pi or 2*pi), which is closed.
-    """
-
-    d: int
-    levels: tuple
-
-    def area_fraction(self):
-        frac = 1.0
-        m = self.d
-        for lo, hi in self.levels:
-            if m == 1:
-                frac *= (hi - lo) / TWO_PI
-            else:
-                frac *= cap_area_fraction(m, hi) - cap_area_fraction(m, lo)
-            m -= 1
-        return frac
-
-    def diameter_bound(self):
-        return _diameter_bound(self.levels, self.d)
-
-    def center(self):
-        """The region's center as a unit vector of length d+1."""
-        return _center_coords(self.levels, self.d)
-
-    def sample(self, rng):
-        """A point drawn uniformly in the region, as a unit vector."""
-        return _sample_coords(self.levels, self.d, rng)
+def _area_fraction(levels, d):
+    frac = 1.0
+    for m, (lo, hi) in zip(range(d, 0, -1), levels):
+        frac *= ((hi - lo) / TWO_PI if m == 1
+                 else cap_area_fraction(m, hi) - cap_area_fraction(m, lo))
+    return frac
 
 
 def _diameter_bound(levels, m):
@@ -284,22 +252,44 @@ def _sample_coords(levels, m, rng):
 
 @dataclass(frozen=True)
 class Partition:
-    """Area-regular partition of S^d into N regions of area 1/N each."""
+    """Area-regular partition of S^d into N regions of area 1/N each.
+
+    A partition is its bounds: bounds[i] is region i's tuple of (lo, hi)
+    levels, level j a colatitude interval on the sphere of dimension d - j,
+    or on the circle (d - j = 1) a longitude interval in [0, 2*pi].  Missing
+    levels mean the full cross-section.  Intervals are half-open [lo, hi)
+    except when hi reaches the domain end (pi or 2*pi), which is closed.
+    Centers, region diameters and areas are derived on first use.
+    """
 
     d: int
-    regions: tuple
-    centers: np.ndarray = field(repr=False)
-    region_diameters: np.ndarray = field(repr=False)
-    areas: np.ndarray = field(repr=False)
+    bounds: tuple
 
     @property
     def N(self):
-        return len(self.regions)
+        return len(self.bounds)
+
+    @functools.cached_property
+    def centers(self):
+        return np.stack([_center_coords(b, self.d) for b in self.bounds])
+
+    @functools.cached_property
+    def region_diameters(self):
+        """Analytic upper bound on each region's diameter."""
+        return np.array([_diameter_bound(b, self.d) for b in self.bounds])
+
+    @functools.cached_property
+    def areas(self):
+        return np.array([_area_fraction(b, self.d) for b in self.bounds])
 
     @property
     def norm(self):
         """Maximal region diameter (analytic upper bound)."""
         return float(np.max(self.region_diameters))
+
+    def sample(self, rng):
+        """One point drawn uniformly in each region, in region order: (N, d+1)."""
+        return np.stack([_sample_coords(b, self.d, rng) for b in self.bounds])
 
     def to_dict(self):
         return {
@@ -308,22 +298,33 @@ class Partition:
             "centers": [list(row) for row in self.centers],
             "norms": list(self.region_diameters),
             "areas": list(self.areas),
-            "bounds": [[list(iv) for iv in r.levels] for r in self.regions],
+            "bounds": [[list(iv) for iv in b] for b in self.bounds],
         }
 
     @classmethod
-    def from_regions(cls, d, regions):
-        regions = tuple(regions)
-        centers = np.stack([r.center() for r in regions])
-        diams = np.array([r.diameter_bound() for r in regions])
-        areas = np.array([r.area_fraction() for r in regions])
-        return cls(d, regions, centers, diams, areas)
-
-    @classmethod
     def from_dict(cls, data):
-        d = int(data["d"])
-        regions = [Region(d, tuple(tuple(iv) for iv in b)) for b in data["bounds"]]
-        return cls.from_regions(d, regions)
+        """The partition of a `to_dict` document, read from d and the bounds.
+
+        Raises ValueError unless d is a positive integer and the bounds are
+        one or more regions of at most d levels, each level two finite
+        numbers 0 <= lo < hi <= pi, or <= 2*pi on the circle level.  Numbers
+        are JSON's: int or float, not bool.
+        """
+        d, regions = data["d"], data["bounds"]
+        if not (type(d) is int and d >= 1):
+            raise ValueError("d is not a positive integer")
+        if not (isinstance(regions, list) and regions):
+            raise ValueError("bounds is not a nonempty list of regions")
+        for i, region in enumerate(regions):
+            if not (isinstance(region, list) and len(region) <= d):
+                raise ValueError(f"region {i} is not a list of at most {d} levels")
+            for j, level in enumerate(region):
+                top = TWO_PI if j == d - 1 else math.pi
+                if not (isinstance(level, list) and len(level) == 2
+                        and all(type(v) in (int, float) for v in level)
+                        and 0 <= level[0] < level[1] <= top):
+                    raise ValueError(f"region {i}: level {level} is not 0 <= lo < hi <= {top!r}")
+        return cls(d, tuple(tuple((float(lo), float(hi)) for lo, hi in r) for r in regions))
 
 
 def eq_partition(d, N):
@@ -338,18 +339,19 @@ def eq_partition(d, N):
         raise ValueError("sphere dimension d must be >= 1")
     if N < 1:
         raise ValueError("region count N must be >= 1")
-    return Partition.from_regions(d, _eq_regions(d, N))
+    return Partition(d, tuple(_eq_regions(d, N)))
 
 
 def _eq_regions(d, N):
+    """The bounds of `eq_partition(d, N)`'s regions, as a list of level tuples."""
     if N == 1:
-        return [Region(d, ())]
+        return [()]
     if d == 1:
-        bounds = [TWO_PI * j / N for j in range(N)] + [TWO_PI]
-        return [Region(1, ((bounds[j], bounds[j + 1]),)) for j in range(N)]
+        edges = [TWO_PI * j / N for j in range(N)] + [TWO_PI]
+        return [((edges[j], edges[j + 1]),) for j in range(N)]
     if N == 2:
         half = math.pi / 2.0
-        return [Region(d, ((0.0, half),)), Region(d, ((half, math.pi),))]
+        return [((0.0, half),), ((half, math.pi),)]
 
     theta_c = cap_colatitude(d, 1.0 / N)
     span = math.pi - 2.0 * theta_c
@@ -375,7 +377,7 @@ def _eq_regions(d, N):
         counts[-1] = 0
         counts[int(np.argmax(counts))] += deficit
 
-    regions = [Region(d, ((0.0, theta_c),))]
+    regions = [((0.0, theta_c),)]
     cumulative = 1
     for m_i in counts:
         if m_i == 0:
@@ -384,7 +386,7 @@ def _eq_regions(d, N):
         cumulative += m_i
         hi = cap_colatitude(d, cumulative / N)
         for sub in _eq_regions(d - 1, m_i):
-            regions.append(Region(d, ((lo, hi),) + sub.levels))
-    regions.append(Region(d, ((cap_colatitude(d, (N - 1.0) / N), math.pi),)))
+            regions.append(((lo, hi),) + sub)
+    regions.append(((cap_colatitude(d, (N - 1.0) / N), math.pi),))
     return regions
 

@@ -297,7 +297,7 @@ class MzReport:
         }
 
 
-def mz_check(points, partition, m, trials=100, seed=0, min_nodes=1_000_000):
+def mz_check(points, m, trials=100, seed=0, min_nodes=1_000_000):
     """Two-sided L1 sampling test: is the node average of |P| within
     (1/2, 3/2) times the true integral for random degree-<=m polynomials?
 
@@ -311,20 +311,15 @@ def mz_check(points, partition, m, trials=100, seed=0, min_nodes=1_000_000):
     per block of arcs (2(m+1) multiply-adds per node).  That route is exact
     because P has degree <= m in each nested angle (each grid has
     L >= 2m+1, raised if need be, so nothing aliases).  The discrete mean
-    is evaluated directly on the points.  A non-finite ratio fails the
-    check.  Non-finite or non-unit rows, a partition of another dimension
-    or region count than the points, and m outside 1..MAX_DEGREE (the
-    kernel-span trials need `make_kernel(d, m)`) raise ValueError before
-    any grid is built.
+    is evaluated directly on the points, and only the points are read.  A
+    non-finite ratio fails the check.  Non-finite or non-unit rows and m
+    outside 1..MAX_DEGREE (the kernel-span trials need `make_kernel(d, m)`)
+    raise ValueError before any grid is built.
     """
     X = as_coords(points)
     d = X.shape[1] - 1
     if off_sphere_rows(X).size:
         raise ValueError(f"points must be finite unit vectors ({UNIT_TOL:g})")
-    if partition is not None and partition.d != d:
-        raise ValueError("partition dimension does not match the points")
-    if partition is not None and partition.N != X.shape[0]:
-        raise ValueError("partition region count does not match the points")
     if not 1 <= m <= MAX_DEGREE:
         raise ValueError(f"polynomial degree m must be in 1..{MAX_DEGREE}")
     if trials < 1:
@@ -420,14 +415,13 @@ def sampling_energy_check(spec, partition, trials=200, seed=0):
     """
     if trials < 50:
         raise ValueError("trials must be >= 50 for a stable mean")
-    N = partition.N
     bound = initial_energy_bound(spec, partition)
     energies = np.empty(trials)
     cross = np.empty(trials)
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        X = np.stack([partition.regions[i].sample(rng) for i in range(N)])
-        Y = np.stack([partition.regions[i].sample(rng) for i in range(N)])
+        X = partition.sample(rng)
+        Y = partition.sample(rng)
         energies[trial] = _energy_raw(spec, X)
         cross[trial] = float(np.mean(gw_eval(spec, np.clip(X @ Y.T, -1.0, 1.0))))
     mean_energy = float(np.mean(energies))

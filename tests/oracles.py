@@ -50,13 +50,13 @@ def descent_velocities(spec, X):
     return tangent_rows(X, V)
 
 
-def region_contains(region, x):
-    """Whether the point x lies in the region: each level's colatitude, or
-    on the circle its longitude, within the level's half-open interval,
-    closed where it reaches the end of its domain."""
+def region_contains(partition, i, x):
+    """Whether the point x lies in region i of the partition: each level's
+    colatitude, or on the circle its longitude, within the level's half-open
+    interval, closed where it reaches the end of its domain."""
     x = np.asarray(x, dtype=float)
-    m = region.d
-    for lo, hi in region.levels:
+    m = partition.d
+    for lo, hi in partition.bounds[i]:
         if m == 1:
             phi = math.atan2(x[1], x[0]) % TWO_PI
             return lo <= phi < hi or (hi >= TWO_PI and phi >= lo)

@@ -147,6 +147,41 @@ def test_verify_mz_partition_missing_a_field_is_a_data_error(missing, tmp_path, 
     assert "not a partition" in err
 
 
+def _set_level(region, level, value):
+    def change(doc):
+        doc["bounds"][region][level] = value
+    return change
+
+
+def _set_field(key, value):
+    def change(doc):
+        doc[key] = value
+    return change
+
+
+@pytest.mark.parametrize("change", [
+    _set_level(1, 0, [math.nan, 1.0]),
+    lambda doc: doc["bounds"][1].append([0.0, 1.0]),
+    _set_level(0, 0, [1.0, 1.0]),
+    _set_level(0, 0, [0.0, 9.0]),
+    _set_level(0, 0, ["a", 1.0]),
+    _set_field("bounds", []),
+    _set_field("d", "2"),
+], ids=["nan", "extra-level", "lo-not-below-hi", "out-of-range", "non-numeric", "empty-bounds",
+        "d-text"])
+def test_verify_mz_hostile_partition_bounds_are_a_data_error(change, tmp_path, capsys):
+    # nothing in verify derives from the bounds, so the file is checked as it is read
+    points = _write_json(tmp_path / "oct.json", cross_polytope(2))
+    _write_partition(tmp_path / "p.json", 2, 6)
+    doc = json.loads((tmp_path / "p.json").read_text())
+    assert len(doc["bounds"][1]) == 2  # region 1 is a collar cell: 2 levels on S^2
+    change(doc)
+    part = tmp_path / "bad.json"
+    part.write_text(json.dumps(doc))
+    err = _verify_rejected(["verify", points, "-n", "3", "--mz", str(part)], capsys, cli.EXIT_DATA)
+    assert f"{part}: not a partition" in err
+
+
 def test_verify_mz_zero_trials_is_a_usage_error(tmp_path, capsys):
     points = _write_json(tmp_path / "poly.json", _polygon(9))
     part = _write_partition(tmp_path / "p2.json", 1, 9)

@@ -41,7 +41,7 @@ def test_initial_configuration_centers():
     assert config.coords.shape == (4, 3)
     p = eq_partition(2, 4)
     for i in range(4):
-        assert region_contains(p.regions[i], config.coords[i])
+        assert region_contains(p, i, config.coords[i])
     assert math.isfinite(_energy_raw(spec, config.coords))
     assert bound == pytest.approx(initial_energy_bound(spec, p))
 
@@ -60,7 +60,44 @@ def test_initial_configuration_random_starts_stay_in_regions():
     p = eq_partition(2, 25)
     config, _ = initial_configuration(spec, 25, mode="random-in-region", seed=3, partition=p)
     for i in range(25):
-        assert region_contains(p.regions[i], config.coords[i])
+        assert region_contains(p, i, config.coords[i])
+
+
+# rows 0, N // 2 and N - 1 of the seed-3 starts, as float.hex, recorded
+# before the partition became its bounds: the sampling order and every
+# start must stay bit for bit the same
+_PINNED_STARTS = {
+    (2, 25, "random-in-region"): [
+        ["-0x1.d863ec1412451p-4", "0x1.3520583c7344ep-6", "0x1.fc7de7448299dp-1"],
+        ["-0x1.feef1f7fcab7bp-1", "0x1.4786adfd08cb5p-6", "-0x1.f64fbbbfe8622p-5"],
+        ["0x1.35bcf57a061a6p-2", "-0x1.ca1fe9d11affap-5", "-0x1.e72cde1258536p-1"],
+    ],
+    (3, 30, "random-in-region"): [
+        ["-0x1.d2df3e036f04ep-3", "0x1.3183e78d70d34p-5", "-0x1.9ee2270145346p-5",
+         "0x1.f17a415bea303p-1"],
+        ["0x1.e8939a60f0521p-3", "-0x1.6951d8b6bc649p-5", "0x1.6270142a215c3p-1",
+         "-0x1.5bfa5d6cda957p-1"],
+        ["-0x1.5171773826547p-2", "-0x1.6b89cf21e3c6ap-3", "0x1.fc6248f5493fap-4",
+         "-0x1.d68249f4d4f3ep-1"],
+    ],
+    (2, 25, "centers"): [
+        ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
+        ["-0x1.0000000000000p+0", "0x1.1a62633145c07p-53", "-0x1.72cece675d1fcp-53"],
+        ["0x0.0p+0", "0x1.1a62633145c07p-53", "-0x1.0000000000000p+0"],
+    ],
+    (3, 30, "centers"): [
+        ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
+        ["0x0.0p+0", "0x0.0p+0", "0x1.bed1cf61a4372p-1", "-0x1.f3fc2e870780ap-2"],
+        ["0x0.0p+0", "0x0.0p+0", "0x1.1a62633145c07p-53", "-0x1.0000000000000p+0"],
+    ],
+}
+
+
+@pytest.mark.parametrize("d, N, mode", list(_PINNED_STARTS))
+def test_initial_configuration_starts_are_pinned(d, N, mode):
+    config, _ = initial_configuration(make_kernel(d, 3), N, mode=mode, seed=3)
+    rows = [[float(v).hex() for v in config.coords[i]] for i in (0, N // 2, N - 1)]
+    assert rows == _PINNED_STARTS[d, N, mode]
 
 
 def test_initial_configuration_unknown_mode():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,8 +19,8 @@ from oracles import region_contains
 
 def _uniform_points(d, count, rng):
     """count uniform points on S^d, drawn by the one-region partition's sampler."""
-    whole = eq_partition(d, 1).regions[0]
-    return np.stack([whole.sample(rng) for _ in range(count)])
+    whole = eq_partition(d, 1)
+    return np.concatenate([whole.sample(rng) for _ in range(count)])
 
 
 def test_off_sphere_rows_flags_non_finite_and_off_tolerance_rows():
@@ -129,7 +130,7 @@ def test_cap_geometry_round_trip():
 def test_eq_partition_circle():
     p = eq_partition(1, 8)
     assert p.N == 8
-    widths = [hi - lo for (lo, hi), in (r.levels for r in p.regions)]
+    widths = [hi - lo for (lo, hi), in p.bounds]
     assert np.allclose(widths, 2.0 * math.pi / 8.0)
     assert p.norm == pytest.approx(2.0 * math.sin(math.pi / 8.0), rel=1e-14)
 
@@ -138,11 +139,11 @@ def test_eq_partition_sphere_four_regions():
     p = eq_partition(2, 4)
     assert p.N == 4
     # polar caps of colatitude pi/3 plus two collar cells
-    caps = [r for r in p.regions if len(r.levels) == 1]
-    cells = [r for r in p.regions if len(r.levels) == 2]
+    caps = [b for b in p.bounds if len(b) == 1]
+    cells = [b for b in p.bounds if len(b) == 2]
     assert len(caps) == 2 and len(cells) == 2
-    assert caps[0].levels[0][1] == pytest.approx(math.pi / 3.0, rel=1e-12)
-    assert caps[1].levels[0][0] == pytest.approx(2.0 * math.pi / 3.0, rel=1e-12)
+    assert caps[0][0][1] == pytest.approx(math.pi / 3.0, rel=1e-12)
+    assert caps[1][0][0] == pytest.approx(2.0 * math.pi / 3.0, rel=1e-12)
 
 
 def test_eq_partition_single_region():
@@ -192,44 +193,44 @@ def test_partition_norm_scaling_band(d):
 
 def test_region_center_polar_cap_is_pole():
     p = eq_partition(2, 10)
-    assert np.allclose(p.regions[0].center(), [0.0, 0.0, 1.0])
-    assert np.allclose(p.regions[p.N - 1].center(), [0.0, 0.0, -1.0])
+    assert np.allclose(p.centers[0], [0.0, 0.0, 1.0])
+    assert np.allclose(p.centers[p.N - 1], [0.0, 0.0, -1.0])
 
 
 def test_region_center_arc_midpoint():
     p = eq_partition(1, 4)
-    c = p.regions[0].center()
+    c = p.centers[0]
     assert np.allclose(c, [math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)])
 
 
 def test_region_centers_are_members():
     for d, N in ((1, 9), (2, 33), (3, 57)):
         p = eq_partition(d, N)
-        for i, r in enumerate(p.regions):
-            assert region_contains(r, p.centers[i]), (d, N, i)
+        for i in range(p.N):
+            assert region_contains(p, i, p.centers[i]), (d, N, i)
 
 
 def test_region_sample_membership():
     rng = np.random.default_rng(17)
     p = eq_partition(2, 33)
-    for _ in range(10_000):
-        i = int(rng.integers(p.N))
-        x = p.regions[i].sample(rng)
-        assert region_contains(p.regions[i], x)
+    for _ in range(300):
+        for i, x in enumerate(p.sample(rng)):
+            assert region_contains(p, i, x)
 
 
 def test_region_sample_membership_d3():
     rng = np.random.default_rng(18)
     p = eq_partition(3, 40)
-    for _ in range(2000):
-        i = int(rng.integers(p.N))
-        assert region_contains(p.regions[i], p.regions[i].sample(rng))
+    for _ in range(50):
+        for i, x in enumerate(p.sample(rng)):
+            assert region_contains(p, i, x)
 
 
 def test_region_sample_deterministic():
     p = eq_partition(2, 12)
-    a = p.regions[5].sample(np.random.default_rng(4))
-    b = p.regions[5].sample(np.random.default_rng(4))
+    a = p.sample(np.random.default_rng(4))
+    b = p.sample(np.random.default_rng(4))
+    assert a.shape == (12, 3)
     assert np.array_equal(a, b)
 
 
@@ -238,14 +239,16 @@ def test_regions_cover_without_overlap():
     for d, N in ((1, 8), (2, 25), (3, 30)):
         p = eq_partition(d, N)
         for x in _uniform_points(d, 400, rng):
-            owners = [i for i, r in enumerate(p.regions) if region_contains(r, x)]
+            owners = [i for i in range(p.N) if region_contains(p, i, x)]
             assert len(owners) == 1, (d, N, owners)
 
 
-def test_partition_json_round_trip():
-    p = eq_partition(2, 23)
-    q = Partition.from_dict(p.to_dict())
-    assert q.N == p.N and q.d == p.d
-    assert np.allclose(q.centers, p.centers)
-    assert np.allclose(q.region_diameters, p.region_diameters)
-    assert np.allclose(q.areas, p.areas)
+@pytest.mark.parametrize("d, N", [(1, 7), (2, 23), (3, 41)])
+def test_partition_json_round_trip(d, N):
+    p = eq_partition(d, N)
+    for doc in (p.to_dict(), json.loads(json.dumps(p.to_dict()))):
+        q = Partition.from_dict(doc)
+        assert q == p
+        assert np.array_equal(q.centers, p.centers)
+        assert np.array_equal(q.region_diameters, p.region_diameters)
+        assert np.array_equal(q.areas, p.areas)

@@ -191,7 +191,7 @@ def _full_grid_ratios(X, m, trials, seed, min_nodes):
 @pytest.mark.parametrize("d,min_nodes,m", [(1, 20_000, 8), (2, 40_000, 6), (3, 64_000, 4)])
 def test_mz_ratios_match_full_grid_reference(d, min_nodes, m):
     X = unit_rows(np.random.default_rng(5).standard_normal((30, d + 1)))
-    report = mz_check(X, None, m, trials=6, seed=3, min_nodes=min_nodes)
+    report = mz_check(X, m, trials=6, seed=3, min_nodes=min_nodes)
     lo, hi = _full_grid_ratios(X, m, 6, 3, min_nodes)
     assert report.min_ratio == pytest.approx(lo, rel=1e-12)
     assert report.max_ratio == pytest.approx(hi, rel=1e-12)
@@ -199,7 +199,7 @@ def test_mz_ratios_match_full_grid_reference(d, min_nodes, m):
 
 @pytest.mark.parametrize("design,m", [(icosahedron, 4), (six_hundred_cell, 5), (lambda: polygon(12), 5)])
 def test_exact_designs_pass_mz(design, m):
-    report = mz_check(design(), None, m, trials=8, seed=0, min_nodes=200_000)
+    report = mz_check(design(), m, trials=8, seed=0, min_nodes=200_000)
     assert report.passed
     assert 0.5 < report.min_ratio <= report.max_ratio < 1.5
 
@@ -207,28 +207,21 @@ def test_exact_designs_pass_mz(design, m):
 def test_mz_rejects_non_finite_points():
     X = np.full((12, 3), np.nan)
     with pytest.raises(ValueError):
-        mz_check(X, None, 2, trials=2, min_nodes=10_000)
+        mz_check(X, 2, trials=2, min_nodes=10_000)
     Y = icosahedron()
     Y[3, 1] = np.inf
     with pytest.raises(ValueError):
-        mz_check(Y, None, 2, trials=2, min_nodes=10_000)
+        mz_check(Y, 2, trials=2, min_nodes=10_000)
 
 
 def test_mz_rejects_non_unit_rows():
     # scaled rows used to pass, with ratios of 1.47-2.22 reported
     with pytest.raises(ValueError):
-        mz_check(2.0 * icosahedron(), None, 2, trials=2, min_nodes=10_000)
+        mz_check(2.0 * icosahedron(), 2, trials=2, min_nodes=10_000)
     X = icosahedron()
     X[5] *= 1.0 + 1e-10
     with pytest.raises(ValueError):
-        mz_check(X, None, 2, trials=2, min_nodes=10_000)
-
-
-def test_mz_rejects_a_partition_of_another_size():
-    with pytest.raises(ValueError):
-        mz_check(icosahedron(), eq_partition(2, 50), 2, trials=2, min_nodes=10_000)
-    with pytest.raises(ValueError):
-        mz_check(icosahedron(), eq_partition(3, 12), 2, trials=2, min_nodes=10_000)
+        mz_check(X, 2, trials=2, min_nodes=10_000)
 
 
 def test_mz_non_finite_ratio_fails(monkeypatch):
@@ -238,7 +231,7 @@ def test_mz_non_finite_ratio_fails(monkeypatch):
 
     monkeypatch.setattr(verifier, "_random_kernel_span", zero)
     monkeypatch.setattr(verifier, "_random_monomial_mixture", zero)
-    report = mz_check(icosahedron(), None, 2, trials=2, min_nodes=10_000)
+    report = mz_check(icosahedron(), 2, trials=2, min_nodes=10_000)
     assert not report.passed
     assert np.isnan(report.min_ratio)
 
@@ -422,7 +415,7 @@ def test_verify_with_mz_end_to_end(tmp_path, capsys):
     assert doc["pass"] is True
     mz = doc["mz"]
     assert mz["pass"] is True and mz["degree"] == 5 and mz["trials"] == 4
-    expected = mz_check(X, eq_partition(2, 12), 5, trials=4, seed=0)
+    expected = mz_check(X, 5, trials=4, seed=0)
     assert mz["min_ratio"] == expected.min_ratio
     assert mz["max_ratio"] == expected.max_ratio
 
