@@ -8,7 +8,7 @@ import numpy as np
 
 from designforge.gegenbauer import gegenbauer_at_one_exact, gegenbauer_terms, harmonic_dim
 from designforge.kernel import _energy_rule, _node_blocks, gw_d1
-from designforge.sphere import TWO_PI, tangent_rows
+from designforge.sphere import TWO_PI, cap_area_fraction, cap_colatitude, tangent_rows
 from designforge.verifier import (
     _arc_blocks,
     _arc_width,
@@ -70,6 +70,88 @@ def region_contains(partition, i, x):
         x = x[:m] / s
         m -= 1
     return True
+
+
+def sample_by_region(partition, rng):
+    """One point drawn in each region, region by region: the recursion that
+    `Partition.sample` vectorizes, on the same random stream (per region one
+    uniform per level, outermost first, then a standard normal direction
+    for a region that stops above the circle), with the cap functions
+    called one number at a time."""
+    return np.stack([_sample_region(b, partition.d, rng) for b in partition.bounds])
+
+
+def _sample_region(levels, m, rng):
+    if not levels:
+        while True:
+            g = rng.standard_normal(m + 1)
+            if np.linalg.norm(g) > 0.0:
+                return g / np.linalg.norm(g)
+    lo, hi = levels[0]
+    if m == 1:
+        phi = lo + rng.random() * (hi - lo)
+        return np.array([math.cos(phi), math.sin(phi)])
+    vlo = float(cap_area_fraction(m, lo))
+    vhi = float(cap_area_fraction(m, hi))
+    theta = float(cap_colatitude(m, vlo + rng.random() * (vhi - vlo)))
+    sub = _sample_region(levels[1:], m - 1, rng)
+    return np.concatenate([math.sin(theta) * sub, [math.cos(theta)]])
+
+
+def cap_area_mp(d, theta, dps=30):
+    """int_0^theta sin^(d-1) / int_0^pi sin^(d-1) by mpmath quadrature at dps
+    digits, theta a float taken as exact."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        def integral(top):
+            return mpmath.quad(lambda s: mpmath.sin(s) ** (d - 1), [0, top])
+
+        return integral(mpmath.mpf(theta)) / integral(mpmath.pi)
+
+
+def gauss_gegenbauer_mp(n, alpha, nodes, indices, dps=30):
+    """Nodes and normalized weights of the n-point Gauss rule of the weight
+    (1 - t^2)^(alpha - 1/2) at the given indices, in mpmath at dps digits.
+
+    Each node is the float node refined by Newton's method on the three-term
+    recurrence; its weight is the Christoffel number 1 / sum_j p_j(t)^2 over
+    the orthonormal p_j, j < n, of the normalized weight, whose squared
+    norms are lead_j^2 beta_1 ... beta_j for P_j = lead_j t^j + ... and the
+    monic recurrence coefficients beta_j = j (j + 2 alpha - 1) /
+    (4 (j + alpha) (j + alpha - 1)).  None of it forms 1 - t^2 weights or
+    P_{n-1} alone.  alpha > 0.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        b = [None, None] + [mpmath.mpf(k - 1) / (k + 2 * a - 1) for k in range(2, n + 1)]
+        norms = [mpmath.mpf(1)]
+        lead = mpmath.mpf(1)
+        betas = mpmath.mpf(1)
+        for j in range(1, n):
+            if j >= 2:
+                lead *= 1 + b[j]
+            betas *= j * (j + 2 * a - 1) / (4 * (j + a) * (j + a - 1))
+            norms.append(lead ** 2 * betas)
+
+        def terms(t):
+            out = [mpmath.mpf(1), t]
+            for k in range(2, n + 1):
+                out.append(t * out[-1] + b[k] * (t * out[-1] - out[-2]))
+            return out
+
+        ts, ws = [], []
+        for i in indices:
+            t = mpmath.mpf(float(nodes[i]))
+            for _ in range(3):
+                P = terms(t)
+                t -= P[n] * (1 - t * t) / (n * (P[n - 1] - t * P[n]))
+            P = terms(t)
+            ts.append(t)
+            ws.append(1 / mpmath.fsum(P[j] ** 2 / norms[j] for j in range(n)))
+        return ts, ws
 
 
 def ring_values(evaluate, rings, m):

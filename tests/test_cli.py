@@ -472,3 +472,27 @@ def test_generate_exits_fail_when_its_own_verification_fails(tmp_path, capsys):
     # files and report are still written
     assert out.exists()
     assert (tmp_path / "d2n2N12.report.json").exists()
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # tests/no_scipy_cli.py runs generate (S^2 with its MZ check, and S^3),
+    # partition, verify --mz, study and kernel-info in one process; with
+    # every scipy import made to fail each must exit 0 and print what it
+    # prints with scipy importable, and neither run may import scipy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "no_scipy_cli.py")
+    reports = {}
+    for mode in ("plain", "guarded"):
+        workdir = tmp_path / mode
+        workdir.mkdir()
+        done = subprocess.run(
+            [sys.executable, script, mode], cwd=workdir,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        reports[mode] = done.stdout
+    report = json.loads(reports["guarded"])
+    assert report["scipy_modules"] == []
+    assert [r["exit"] for r in report["runs"]] == [cli.EXIT_OK] * 6
+    assert reports["guarded"] == reports["plain"]

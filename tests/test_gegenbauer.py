@@ -7,11 +7,13 @@ from scipy.special import roots_jacobi
 
 from designforge.gegenbauer import (
     clamp_unit,
+    gauss_gegenbauer,
     gegenbauer_at_one_exact,
     gegenbauer_series,
     gegenbauer_terms,
     harmonic_dim,
 )
+from oracles import gauss_gegenbauer_mp
 
 
 def _gegenbauer(alpha, k, t):
@@ -426,3 +428,59 @@ def test_empty_series_is_zero():
     for d in (1, 2, 3, 4):
         assert np.array_equal(_eval_shifted(make_kernel(d, 1), t, 2),
                               gegenbauer_series((d + 1) / 2.0, np.empty(0), t))
+
+
+_GAUSS_ALPHAS = [0.5, 1.0, 1.5, 2.5]
+_GAUSS_SIZES = [1, 2, 7, 31, 100, 500, 1000]
+
+
+@pytest.mark.parametrize("alpha", _GAUSS_ALPHAS)
+@pytest.mark.parametrize("n", _GAUSS_SIZES)
+def test_gauss_nodes_match_scipy(alpha, n):
+    # scipy's Golub-Welsch nodes, polished by Newton, are the oracle; a Newton
+    # stopped early (a fixed 4 steps on P_n missed alpha = 2.5, n = 31 by
+    # 1.4e-12) fails here
+    from scipy.special import roots_gegenbauer
+
+    t, w = gauss_gegenbauer(n, alpha)
+    assert t.shape == w.shape == (n,)
+    assert np.all(np.diff(t) > 0.0)
+    assert np.max(np.abs(t - roots_gegenbauer(n, alpha)[0])) <= 4e-16
+
+
+@pytest.mark.parametrize("alpha", _GAUSS_ALPHAS)
+@pytest.mark.parametrize("n", _GAUSS_SIZES)
+def test_gauss_weights_match_mpmath(alpha, n):
+    # 30-digit Christoffel numbers at the two ends, where weights formed
+    # from 1 - t^2 or from P_{n-1} at a rounded t lose 1e-9 and more at
+    # n = 1000, and across the middle
+    t, w = gauss_gegenbauer(n, alpha)
+    assert math.fsum(w) == pytest.approx(1.0, abs=4e-16)
+    assert np.array_equal(w, w[::-1]) and np.array_equal(t, -t[::-1])
+    indices = sorted({0, 1, 2, n // 3, n // 2, n - 2, n - 1} & set(range(n)))
+    _, exact = gauss_gegenbauer_mp(n, alpha, t, indices)
+    rel = [abs(w[i] / float(e) - 1.0) for i, e in zip(indices, exact)]
+    assert max(rel) <= 1e-13, rel
+
+
+def test_gauss_rule_refuses_where_newton_misses_zeros():
+    # at alpha = 16 the start next to the pole is off by more than Newton
+    # recovers from: a rule with a repeated or missing zero must not come back
+    from scipy.special import roots_gegenbauer
+
+    t, _ = gauss_gegenbauer(60, 15.5)
+    assert np.max(np.abs(t - roots_gegenbauer(60, 15.5)[0])) <= 4e-16
+    with pytest.raises(ArithmeticError):
+        gauss_gegenbauer(9, 16.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+def test_gauss_rule_is_exact_to_degree_2n_minus_1(alpha):
+    # sum_i w_i P_k(t_i) = 0 for 1 <= k <= 2n - 1, and P_2n is not integrated
+    n = 12
+    t, w = gauss_gegenbauer(n, alpha)
+    sums = [float(term @ w) for term in gegenbauer_terms(alpha, 2 * n, t)]
+    assert sums[0] == pytest.approx(1.0, abs=1e-15)
+    assert max(abs(v) for v in sums[1:2 * n]) <= 1e-15
+    assert abs(sums[2 * n]) > 1e-6
+

@@ -12,9 +12,10 @@ from designforge.sphere import (
     cap_colatitude,
     eq_partition,
     off_sphere_rows,
+    sphere_surface_area,
     tangent_rows,
 )
-from oracles import region_contains
+from oracles import cap_area_mp, region_contains, sample_by_region
 
 
 def _uniform_points(d, count, rng):
@@ -125,6 +126,104 @@ def test_cap_geometry_round_trip():
         for f in (0.01, 0.25, 0.5, 0.75, 0.99):
             assert cap_area_fraction(d, cap_colatitude(d, f)) == pytest.approx(f, abs=1e-13)
     assert cap_colatitude(2, 0.25) == pytest.approx(math.pi / 3.0, rel=1e-12)
+
+
+_HALF_PI = 0.5 * math.pi
+_CAP_THETAS = [0.0, 1e-300, 1e-12, 1e-8, 1e-4, 0.3, 1.0, _HALF_PI - 1e-9, _HALF_PI,
+               _HALF_PI + 1e-9, 2.2, 3.0, math.pi - 1e-8, math.pi - 1e-12, math.pi]
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_cap_area_fraction_matches_mpmath(d):
+    got = cap_area_fraction(d, np.array(_CAP_THETAS))
+    err = [abs(float(cap_area_mp(d, th)) - g) for th, g in zip(_CAP_THETAS, got)]
+    assert max(err) <= 2e-15, err
+
+
+def test_cap_area_fraction_out_of_range_and_nan():
+    assert cap_area_fraction(3, -0.5) == 0.0
+    assert cap_area_fraction(3, 4.0) == 1.0
+    assert math.isnan(cap_area_fraction(3, math.nan))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_cap_colatitude_round_trip(d):
+    f = np.array([1e-12, 1e-6, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0 - 1e-12])
+    assert np.max(np.abs(cap_area_fraction(d, cap_colatitude(d, f)) - f)) <= 1e-14
+    assert cap_colatitude(d, 0.0) == 0.0
+    assert cap_colatitude(d, 0.5) == _HALF_PI
+    assert cap_colatitude(d, 1.0) == math.pi
+
+
+def test_cap_colatitude_matches_closed_forms():
+    # F = theta / pi on S^1, sin^2(theta / 2) on S^2, (theta - sin theta cos theta) / pi on S^3
+    import mpmath
+
+    f = np.concatenate([10.0 ** -np.arange(1, 16, 2), np.linspace(0.02, 0.98, 17)])
+    exact = {
+        1: lambda v: mpmath.pi * v,
+        2: lambda v: 2 * mpmath.asin(mpmath.sqrt(v)),
+        3: lambda v: mpmath.findroot(
+            lambda th: (th - mpmath.sin(th) * mpmath.cos(th)) / mpmath.pi - v,
+            mpmath.mpf(float(cap_colatitude(3, float(v))))),
+    }
+    for d, theta in exact.items():
+        got = cap_colatitude(d, f)
+        with mpmath.workdps(30):
+            rel = [abs(g / float(theta(mpmath.mpf(v))) - 1.0) for v, g in zip(f, got)]
+        assert max(rel) <= 4e-16, (d, max(rel))
+
+
+def test_cap_functions_are_elementwise():
+    # an array call gives each entry what a call on that entry alone gives
+    rng = np.random.default_rng(6)
+    theta = rng.uniform(0.0, math.pi, 41)
+    f = rng.random(41)
+    for d in (2, 3, 7):
+        assert np.array_equal(cap_area_fraction(d, theta),
+                              [cap_area_fraction(d, v) for v in theta])
+        assert np.array_equal(cap_colatitude(d, f), [cap_colatitude(d, v) for v in f])
+        assert cap_colatitude(d, f.reshape(41, 1)).shape == (41, 1)
+
+
+def test_cap_colatitude_rejects_fractions_outside_the_unit_interval():
+    for bad in (-1e-300, 1.0 + 1e-15, math.nan, [0.5, 2.0]):
+        with pytest.raises(ValueError):
+            cap_colatitude(2, bad)
+
+
+def test_sphere_surface_area():
+    assert sphere_surface_area(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert sphere_surface_area(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
+    assert sphere_surface_area(3) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
+
+
+@pytest.mark.parametrize("d, N", [(1, 7), (2, 1), (2, 2), (2, 25), (2, 338), (3, 1),
+                                  (3, 30), (3, 100), (4, 60)])
+def test_sample_matches_the_region_by_region_oracle(d, N):
+    p = eq_partition(d, N)
+    for seed in (0, 5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        X = p.sample(rng)
+        ref = sample_by_region(p, ref_rng)
+        assert X.shape == ref.shape == (N, d + 1)
+        assert np.max(np.abs(X - ref)) <= 1e-14
+        # both drew the same stream: the next draw agrees
+        assert rng.random() == ref_rng.random()
+
+
+def test_geodesic_fast_path_matches_the_masked_path():
+    # with every row moving the rows skip the mask; one zero-velocity row
+    # sends the same rows through it, and they must agree bit for bit
+    rng = np.random.default_rng(14)
+    X = _uniform_points(2, 60, rng)
+    V = tangent_rows(X, rng.standard_normal((60, 3)))
+    still = _uniform_points(2, 1, rng)
+    for t in (0.0, 1e-7, 0.4, 2.5):
+        fast = _geodesic_rows(X, V, t)
+        masked = _geodesic_rows(np.vstack([X, still]), np.vstack([V, np.zeros((1, 3))]), t)
+        assert np.array_equal(fast, masked[:-1])
+        assert np.array_equal(masked[-1], still[0])
 
 
 def test_eq_partition_circle():
