@@ -13,12 +13,14 @@ centers, areas (exact products of cap-area differences) and diameter
 bounds (tight for caps and full bands) are derived from them on first use.
 
 Everything here runs on numpy and `math` alone.  The normalized cap area
-int_0^theta sin^(d-1) / int_0^pi sin^(d-1) is a Gauss-Legendre sum and its
-inverse a Newton solve; the product quadrature's colatitude nodes are the
-Gauss-Gegenbauer rules of `gegenbauer.gauss_gegenbauer`.
+int_0^theta sin^(d-1) / int_0^pi sin^(d-1) is a Gauss-Legendre sum, and its
+inverse is closed on S^2 and a Newton solve on the other spheres; the
+product quadrature's colatitude nodes are the Gauss-Gegenbauer rules of
+`gegenbauer.gauss_gegenbauer`.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -40,25 +42,14 @@ def _geodesic_rows(X, V, t):
     """Move each row of X along its great circle with tangent velocity the
     matching row of V for time t: arc length |v| t, zero velocity stays.
 
-    When every row moves, as in the solver's line search, the rows are
-    moved in place of the gathers and scatters of the zero-velocity mask;
-    the result is the same bit for bit."""
+    Every row goes through the same array operations, a zero-velocity row
+    with speed 1 in the division, and such rows then take X back exactly."""
     speeds = np.linalg.norm(V, axis=1)
-    moving = speeds > 0.0
-    if moving.all():
-        return _move_rows(X, V, speeds, t)
-    out = X.copy()
-    if moving.any():
-        out[moving] = _move_rows(X[moving], V[moving], speeds[moving], t)
-    return out
-
-
-def _move_rows(X, V, speeds, t):
-    """Rows X moved for time t along V, every speed positive, renormalized."""
-    ang = speeds * t
-    out = X * np.cos(ang)[:, None] + (V / speeds[:, None]) * np.sin(ang)[:, None]
+    moving = (speeds > 0.0)[:, None]
+    ang = (speeds * t)[:, None]
+    out = X * np.cos(ang) + V / np.where(moving, speeds[:, None], 1.0) * np.sin(ang)
     out /= np.linalg.norm(out, axis=1)[:, None]
-    return out
+    return np.where(moving, out, X)
 
 
 def _random_unit(d, rng):
@@ -99,10 +90,11 @@ def _cap_rule(d):
 def _sin_power_integral(d, phi):
     """int_0^phi sin^(d-1) for each phi in [0, pi/2], by `_cap_rule(d)`.
 
-    The integrand is a trigonometric polynomial of degree d - 1, and d + 8
-    nodes give the integral to 3e-16 relative for d <= 100.  The weighted
-    sum is an einsum, not a BLAS product, so that each value depends on its
-    own phi alone, not on its place in the array.
+    The integrand is a trigonometric polynomial of degree d - 1, and the
+    d + 8 nodes are checked against 30-digit values, through
+    `cap_area_fraction`, for d = 1..20, 50 and 100.  The weighted sum is an
+    einsum, not a BLAS product, so that each value depends on its own phi
+    alone, not on its place in the array.
     """
     u, w = _cap_rule(d)
     s = np.sin(phi[..., None] * u)
@@ -122,8 +114,8 @@ def cap_area_fraction(d, theta):
 
     The area is int_0^theta sin^(d-1) over the same integral to pi, each by
     `_sin_power_integral` on the half theta <= pi/2 and the symmetry
-    F(pi - theta) = 1 - F(theta).  It agrees with a 30-digit value to 4e-16
-    for d = 1..20.
+    F(pi - theta) = 1 - F(theta).  It agrees with 30-digit values to 4e-16
+    for d = 1..20 and 50, and to 8e-16 for d = 100, the range tested.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.maximum(np.minimum(theta, math.pi - theta), 0.0)
@@ -134,21 +126,33 @@ def cap_area_fraction(d, theta):
 def cap_colatitude(d, fraction):
     """Inverse of cap_area_fraction in the fraction argument, elementwise.
 
-    On the half f <= 1/2 it solves I(theta) = int_0^theta sin^(d-1) = f c,
-    c = int_0^pi sin^(d-1), by Newton's method in x = 1 - cos theta, where
-    sin theta = sqrt(x (2 - x)) and dI/dx = sin^(d-2) theta; the other half
-    is pi - theta(1 - f), and f = 1/2 is the equator.  The start
-    x_0 = (d f c)^(2/d) / 2 solves (2 x)^(d/2) / d = f c, which is I with
-    sin^2 theta = x (2 - x) raised to 2 x: so x_0 is exact on S^2, where
-    I = x, and below the root for d > 2, where I is convex in x (above it
-    for d = 1, where I is concave).  Either way the iterates approach the
-    root from one side after the first step.  A value stops once its step
-    is below 1e-9 x, which leaves it within |d - 2| 1e-18 / 4 relative.
+    On the half f <= 1/2 it finds x = 1 - cos theta, and the other half is
+    pi - theta(1 - f).  On S^2 the cap area is x / 2 (Archimedes), so
+    x = 2 f; on the other spheres `_cap_height` solves for x.
     """
     f = np.asarray(fraction, dtype=float)
-    g = np.minimum(f, 1.0 - f).ravel()
-    if not np.all(g >= 0.0):
+    g = np.minimum(f, 1.0 - f)
+    if not (g >= 0.0).all():
         raise ValueError("area fraction must lie in [0, 1]")
+    x = 2.0 * g if d == 2 else _cap_height(d, g.ravel()).reshape(f.shape)
+    theta = np.arctan2(np.sqrt(x * (2.0 - x)), 1.0 - x)
+    return np.where(f > 0.5, math.pi - theta, theta)[()]
+
+
+def _cap_height(d, g):
+    """x = 1 - cos theta of the cap of area fraction g on S^d, for a 1-D
+    array of fractions 0 <= g <= 1/2.
+
+    It solves I(theta) = int_0^theta sin^(d-1) = g c, c = int_0^pi sin^(d-1),
+    by Newton's method in x, where sin theta = sqrt(x (2 - x)) and
+    dI/dx = sin^(d-2) theta; g = 1/2 is the equator, x = 1.  The start
+    x_0 = (d g c)^(2/d) / 2 solves (2 x)^(d/2) / d = g c, which is I with
+    sin^2 theta = x (2 - x) raised to 2 x: so x_0 is below the root for
+    d > 2, where I is convex in x, and above it for d = 1, where I is
+    concave.  Either way the iterates approach the root from one side after
+    the first step.  A value stops once its step is below 1e-9 x, which
+    leaves it within |d - 2| 1e-18 / 4 relative.
+    """
     target = g * (2.0 * _half_sphere_integral(d))
     x = np.minimum(0.5 * (d * target) ** (2.0 / d), 1.0)
     x[g == 0.5] = 1.0
@@ -160,8 +164,7 @@ def cap_colatitude(d, fraction):
                 / sin ** (d - 2))
         x[active] = np.minimum(np.maximum(xa - step, 0.0), 1.0)
         active = active[np.abs(step) > 1e-9 * xa]
-    theta = np.arctan2(np.sqrt(x * (2.0 - x)), 1.0 - x).reshape(f.shape)
-    return np.where(f > 0.5, math.pi - theta, theta)[()]
+    return x
 
 
 def sphere_surface_area(d):
@@ -364,24 +367,23 @@ class Partition:
         The random stream is that of drawing region by region: for each
         region one uniform per level, outermost first, then, for a region
         whose levels stop above the circle, a standard normal direction in
-        its cross-section.  A run of regions with all d levels draws its
-        uniforms in one call; the others draw in place.  A level's uniform u
-        gives lo + u (hi - lo) of `_levels`: the longitude on the circle, and
-        the cap-area fraction of the colatitude on the other levels, which
-        each level inverts in one array call.
+        its cross-section.  The uniforms between two such directions are
+        one call, so the draws loop over those cap regions alone.  A level's
+        uniform u gives lo + u (hi - lo) of `_levels`: the longitude on the
+        circle, and the cap-area fraction of the colatitude on the other
+        levels, which each level inverts in one array call.
         """
         d, N = self.d, self.N
         depth, lo, hi = self._levels
+        stops = np.cumsum(depth).tolist()
+        draws, tails, drawn = [], {}, 0
+        for r in np.flatnonzero(depth < d).tolist():
+            draws.append(rng.random(stops[r] - drawn))
+            drawn = stops[r]
+            tails[r] = _random_unit(d - depth[r], rng)
+        draws.append(rng.random(stops[-1] - drawn))
         u = np.zeros((N, d))
-        tails = {}
-        starts = np.flatnonzero(np.diff(depth, prepend=-1))
-        for i, end in zip(starts, [*starts[1:], N]):
-            if depth[i] == d:
-                u[i:end] = rng.random((end - i, d))
-                continue
-            for r in range(i, end):
-                u[r, :depth[r]] = rng.random(depth[r])
-                tails[r] = _random_unit(d - depth[r], rng)
+        u[np.arange(d) < depth[:, None]] = np.concatenate(draws)
         angle = lo + u * (hi - lo)
         for j in range(d - 1):
             rows = depth > j
@@ -465,8 +467,7 @@ def _eq_regions(d, counts):
         if N == 1:
             regions[N] = ((),)
         elif d == 1:
-            edges = (TWO_PI * np.arange(N + 1) / N).tolist()
-            edges[-1] = TWO_PI
+            edges = [TWO_PI * j / N for j in range(N)] + [TWO_PI]
             regions[N] = tuple(zip(zip(edges, edges[1:])))
         elif N == 2:
             regions[N] = (((0.0, 0.5 * math.pi),), ((0.5 * math.pi, math.pi),))
@@ -474,18 +475,18 @@ def _eq_regions(d, counts):
     if not big:
         return regions
 
+    area = sphere_surface_area(d)
     starts = []
-    for N, theta_c in zip(big, cap_colatitude(d, 1.0 / np.array(big)).tolist()):
+    for N, theta_c in zip(big, cap_colatitude(d, [1.0 / N for N in big]).tolist()):
         span = math.pi - 2.0 * theta_c
-        delta_ideal = (sphere_surface_area(d) / N) ** (1.0 / d)
-        n_collars = max(1, round(span / delta_ideal))
-        starts.append(theta_c + np.arange(n_collars) * (span / n_collars))
-    fractions = _split(cap_area_fraction(d, np.concatenate(starts)).tolist(), starts)
+        n_collars = max(1, round(span / (area / N) ** (1.0 / d)))
+        starts.append([theta_c + i * (span / n_collars) for i in range(n_collars)])
+    fractions = _split(cap_area_fraction(d, [*itertools.chain(*starts)]).tolist(), starts)
     collars = [_collar_counts(N, f) for N, f in zip(big, fractions)]
     # each partition's edges: the polar cap's first, the other cap's, at
     # fraction (N-1)/N, last
-    cumulative = [np.cumsum([1, *c]) / N for N, c in zip(big, collars)]
-    edges = _split(cap_colatitude(d, np.concatenate(cumulative)).tolist(), cumulative)
+    cumulative = [[k / N for k in itertools.accumulate([1, *c])] for N, c in zip(big, collars)]
+    edges = _split(cap_colatitude(d, [*itertools.chain(*cumulative)]).tolist(), cumulative)
     cross = _eq_regions(d - 1, [m for c in collars for m in c if m])
     for N, c, e in zip(big, collars, edges):
         bounds = [((0.0, e[0]),)]
@@ -499,7 +500,7 @@ def _eq_regions(d, counts):
 
 def _split(values, parts):
     """The list values cut into consecutive pieces as long as the parts."""
-    ends = np.cumsum([len(p) for p in parts]).tolist()
+    ends = list(itertools.accumulate(map(len, parts)))
     return [values[i:j] for i, j in zip([0, *ends], ends)]
 
 
