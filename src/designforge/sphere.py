@@ -203,9 +203,9 @@ def quadrature_rings(d, min_nodes=1_000_000, min_longitudes=1):
     (1 - t^2)^((m-2)/2), and L = max(na, min_longitudes).  The rule
     integrates every polynomial of degree <= min(2 na - 1, L - 1) exactly.
     The nodes and weights are `gegenbauer.gauss_gegenbauer`'s: Newton's
-    method on the Gegenbauer recurrence, with nodes within 4e-16 of
-    scipy.special.roots_gegenbauer and weights within 1e-14 relative of
-    30-digit values (scipy's are 2e-8 off at 1000 nodes).
+    method on the Gegenbauer recurrence, with nodes within 4e-16 and
+    weights within 1e-14 relative of the reference rules the tests hold
+    them to (tests/test_gegenbauer.py).
 
     Built once per process and argument triple: the cache holds the fine
     and coarse grids of an MZ check on S^1..S^3 (6 entries), so the Gauss
