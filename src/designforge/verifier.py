@@ -17,20 +17,26 @@ in nested colatitudes, a point being (sin theta y', cos theta) with y' a
 point one sphere down.  Every coordinate is a product of one cos or sin
 per angle, so a polynomial of degree <= m is a trigonometric polynomial of
 degree <= m in each angle separately, fixed exactly by its values on the
-torus of 2m+1 equispaced angles per axis.  Those values give each ring's
-m+1 Fourier coefficients in longitude (one small interpolation matrix per
-axial level, then an rfft of length 2m+1).  Each ring is then cut into
-arcs of B longitudes, and P on a block of arcs is one real matmul of their
-turned coefficients against a fixed (2(m+1), B) table of cos and sin, so
-the reference integral of |P| costs (2m+1)^d evaluations of P and 2(m+1)
-multiply-adds per node, and holds P at one block of about 2^16 nodes at a
-time.
+torus of 2m+1 equispaced angles per axis.  Those values give the rings'
+m+1 Fourier coefficients in longitude: every axial level but the
+outermost is interpolated on the torus, an rfft of length 2m+1 follows,
+and the outermost level's interpolation is one small matmul per block of
+rings.  Each ring is then cut into arcs of B longitudes.  An arc is
+symmetric about its center phi_c, so with the coefficients turned by phi_c
+P(phi_c +- psi) = C(psi) +- S(psi), C even and S odd in psi, and C and S
+on a block of half arcs are two real matmuls against fixed (m+1, B/2) and
+(m, B/2) cos and sin tables.  A mirror pair adds |C + S| + |C - S| =
+2 max(|C|, |S|) to the integral.  So the reference integral of |P| costs
+(2m+1)^d evaluations of P and about m + 1/2 multiply-adds per node, and
+holds C and S on one block of about 2^16 nodes at a time, in buffers
+reused across blocks and trials.
 
 Finally the averaging bound used to seed the solver is checked by Monte
 Carlo over in-region sampling.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -55,6 +61,8 @@ from .solver import initial_energy_bound
 # M = 31)
 MAX_MONOMIAL_DEGREE = 12
 MAX_MZ_DIM = 3
+# node floor of the MZ check's coarse grid, and so of its fine grid
+_MIN_GRID_NODES = 4096
 
 
 def monomial_sphere_integral(exponents):
@@ -167,8 +175,9 @@ def is_design(points, n, tol):
     return worst <= tol, worst, witness
 
 
-def _ring_coefficients(evaluate, rings, m):
-    """Fourier coefficients c_k, k = 0..m, of P along every ring: (R, m+1).
+def _ring_coefficients(rings, m):
+    """(outer, spectra): the Fourier coefficients of P along the rings, in
+    two factors.
 
     The rings are nested: y = (sin theta y', cos theta) with y' a ring
     point one sphere down, ending in (x0, x1) = (cos phi, sin phi).  Each
@@ -178,26 +187,45 @@ def _ring_coefficients(evaluate, rings, m):
     psi_k = 2 pi k / K per axis.  Those (2m+1)^d values are the only
     evaluations of P.  One (n_a, K) trigonometric-interpolation matrix per
     axial level moves that level's angle from psi to its Gauss colatitudes
-    arccos t, which leaves P at the K longitudes psi on every ring, and an
-    rfft of length K gives c_k with
-    P(phi) = (1/K) (c_0 + 2 Re sum_{k=1..m} c_k e^(i k phi)).
+    arccos t.  spectra(evaluate) applies every level's matrix but the
+    outermost on the torus and takes an rfft of length K along the
+    longitudes: F, (K, n (m+1)) complex stored as interleaved (Re, Im)
+    pairs, n the number of rings per outer colatitude.  Interpolation and
+    rfft commute, so the rings at the outer colatitudes i have the
+    coefficients outer[i] @ F, (len(i) n, m+1) viewed as complex, with
+    P(phi) = (1/K) (c_0 + 2 Re sum_{k=1..m} c_k e^(i k phi)).  On S^1,
+    outer is the 1x1 identity.
     """
     K = 2 * m + 1
     psi = np.arange(K) * (2.0 * math.pi / K)
     cos, sin = np.cos(psi), np.sin(psi)
     torus = nested_points(np.column_stack([cos, sin]), [(cos, sin)] * len(rings.levels))
-    samples = evaluate(torus)
+    interps = []
     for t in rings.levels:
         # the Dirichlet kernel sin(K x / 2) / (K sin(x / 2)) at x = theta - psi_k
-        # interpolates the leading angle to the level's colatitudes theta;
-        # the new ring axis then moves to the back, and the angle of the
-        # level below leads
+        # interpolates a torus angle to the level's colatitudes theta
         half = 0.5 * (np.arccos(t)[:, None] - psi)
         den = K * np.sin(half)
-        interp = np.divide(np.sin(K * half), den, out=np.ones_like(den), where=den != 0.0)
-        samples = (interp @ samples.reshape(K, -1)).T
-    # the longitude axis now leads, and the rings follow in their order
-    return np.fft.rfft(samples.reshape(K, -1).T, axis=1)
+        interps.append(np.divide(np.sin(K * half), den, out=np.ones_like(den), where=den != 0.0))
+    outer = interps[0] if interps else np.ones((1, 1))
+    # an inner level's product holds the angles before its axis, already
+    # moved to their colatitudes, its own colatitudes, and the torus angles
+    # after it
+    before = outer.shape[1]
+    products = []
+    for axis, interp in enumerate(interps[1:], 1):
+        products.append(np.empty((before, interp.shape[0], K ** (len(interps) - axis))))
+        before *= interp.shape[0]
+    spectrum = np.empty((outer.shape[1], before // outer.shape[1], m + 1), complex)
+
+    def spectra(evaluate):
+        samples = evaluate(torus)
+        for interp, out in zip(interps[1:], products):
+            samples = np.matmul(interp, samples.reshape(out.shape[0], K, -1), out=out)
+        np.fft.rfft(samples.reshape(spectrum.shape[:2] + (K,)), out=spectrum)
+        return spectrum.view(np.float64).reshape(outer.shape[1], -1)
+
+    return outer, spectra
 
 
 def _half_angles(p, k, L):
@@ -206,72 +234,122 @@ def _half_angles(p, k, L):
 
 
 def _arc_width(L, m):
-    """Longitudes B per arc: the most that keeps the (2(m+1), B) table
-    within _BLOCK_DOUBLES, and at most the ring."""
-    return min(L, max(1, _BLOCK_DOUBLES // (2 * (m + 1))))
+    """Longitudes B per arc: the most with 2(m+1) B <= _BLOCK_DOUBLES, so
+    that the half-arc cos and sin tables, (2m+1) ceil(B/2) values, fill
+    about half of it; at most the ring, and below it of L's parity, so that
+    an even ring's short last arc is even too and shares the tables."""
+    B = min(L, max(1, _BLOCK_DOUBLES // (2 * (m + 1))))
+    return B - 1 if B < L and B > 1 and (L - B) % 2 else B
 
 
 def _arc_blocks(rings, m):
-    """blocks(evaluate): P at the rings' nodes, one block of arcs at a time.
+    """blocks(evaluate): P at the rings' nodes as mirror pairs, one block
+    of arcs at a time.
 
     Node j of a ring sits at phi_j = (j + 1/2) 2 pi / L.  Each ring is cut
-    into arcs of B longitudes; arc a starts at node aB, and the short last
-    arc runs past L when B does not divide L.  On arc a a ring's
-    coefficients c_k are turned by e^(i k aB 2 pi / L) and stored as
-    interleaved (Re, Im) pairs.  The table holds s_k cos(k phi_b) and
-    -s_k sin(k phi_b) for b < B in the same interleaving, s_0 = 1/K and
-    s_k = 2/K, so one turned row times the table is P at the arc's B nodes:
-    2(m+1) multiply-adds per node.  A block is a run of whole arcs times
-    all rings, or one arc times a run of rings, with its product of about
-    _BLOCK_DOUBLES values (`_arc_width` bounds the table the same way).
-    blocks yields (first arc, first ring, block), the block shaped (arcs,
-    rings, B); the nodes past L are left to the caller.  The table and the
-    turns depend on (L, m) only and are built once, here.
+    into arcs of B longitudes (`_arc_width`), and a short last arc of
+    L mod B nodes when B does not divide L.  An arc of w nodes from node j0
+    is symmetric about its center phi_c = (j0 + w/2) 2 pi / L: its nodes
+    are phi_c +- psi_h, psi_h = (2h + 1 - w mod 2) pi / L, h < ceil(w/2).
+    Turned by phi_c, a ring's coefficients c'_k = c_k e^(i k phi_c) give
+    P(phi_c +- psi) = C(psi) +- S(psi), with
+    C = sum_{k=0..m} s_k Re c'_k cos(k psi) and
+    S = -sum_{k=1..m} s_k Im c'_k sin(k psi), s_0 = 1/K and s_k = 2/K.
+    So C and S on the half arc are two real matmuls of the turned rows'
+    Re and Im parts against fixed (m+1, ceil(w/2)) and (m, ceil(w/2))
+    tables of s_k cos(k psi_h) and -s_k sin(k psi_h): about m + 1/2
+    multiply-adds per node, against 2(m+1) for P at every node.  The
+    tables hang on the parity of w alone, so arcs of one parity share
+    them.  An odd arc's center node is psi_0 = 0, where S = 0.
+
+    A block is a run of arcs of one width times the rings of a run of
+    outer colatitudes, about _BLOCK_DOUBLES // B rows, and its ring
+    coefficients are one small matmul of the outer interpolation rows
+    against the torus spectra (`_ring_coefficients`).  The tables, the
+    turns within a block and every block buffer depend on (rings, m) only
+    and are allocated once, here; the loop writes them through out= and
+    allocates only arrays of a few rows.  blocks yields (first node, first
+    ring, w, C, S), with C and S (arcs, rings, ceil(w/2)) views of the
+    buffers that hold until the next block.
     """
     L = rings.L
-    R = rings.weight.size
+    K = 2 * m + 1
     k = np.arange(m + 1)
     B = _arc_width(L, m)
-    arcs = -(-L // B)
-    angle = _half_angles(k, 2 * np.arange(B) + 1, L)
-    scale = np.where(k == 0, 1.0, 2.0)[:, None] / (2 * m + 1)
-    table = np.stack([scale * np.cos(angle), -scale * np.sin(angle)], axis=1).reshape(2 * (m + 1), B)
-    step = max(1, _BLOCK_DOUBLES // B)
-    arcs_per, rings_per = (step // R, R) if R <= step else (1, step)
-    # the turn of arc a0 + j is that of a0 times that of j
-    turns = np.exp(1j * _half_angles(2 * B * np.arange(arcs_per), k, L))
+    full, short = divmod(L, B)
+    outer, spectra = _ring_coefficients(rings, m)
+    inner = rings.weight.size // outer.shape[0]
+    target = max(1, _BLOCK_DOUBLES // B)  # rows of an arc's width in a block
+    outers_per = min(outer.shape[0], max(1, target // inner))
+    arcs_per = min(full, max(1, target // (outers_per * inner)))
+    rows = arcs_per * outers_per * inner
+    scale = np.where(k == 0, 1.0, 2.0)[:, None] / K
+    # (first node, arcs, width) of the full arcs and the short last one
+    spans = [(j0, count, w) for j0, count, w in ((0, full, B), (full * B, 1, short)) if w]
+    tables = {}  # cos and sin tables by arc parity, as wide as the widest arc (B >= short)
+    for _, _, w in spans:
+        if w % 2 not in tables:
+            angle = _half_angles(k, 2 * np.arange((w + 1) // 2) + 1 - w % 2, L)
+            tables[w % 2] = scale * np.cos(angle), -scale[1:] * np.sin(angle[1:])
+    # the turn of arc a0 + a is that of a0 times that of a
+    steps = np.exp(1j * _half_angles(2 * B * np.arange(arcs_per), k, L))
+    coefficients = np.empty((outers_per, 2 * inner * (m + 1)))
+    base = np.empty((outers_per * inner, m + 1), complex)
+    turned = np.empty((rows, m + 1), complex)
+    re = np.empty((rows, m + 1))
+    im = np.empty((rows, m))
+    even = np.empty(rows * ((B + 1) // 2))
+    odd = np.empty_like(even)
 
     def blocks(evaluate):
-        c = _ring_coefficients(evaluate, rings, m)
-        for a0 in range(0, arcs, arcs_per):
-            turn = np.exp(1j * _half_angles([2 * B * a0], k, L)) * turns[:arcs - a0]
-            for r0 in range(0, R, rings_per):
-                turned = np.multiply(turn[:, None, :], c[None, r0:r0 + rings_per], order="C")
-                block = turned.view(np.float64).reshape(-1, 2 * (m + 1)) @ table
-                yield a0, r0, block.reshape(turned.shape[0], turned.shape[1], B)
+        F = spectra(evaluate)
+        for o0 in range(0, outer.shape[0], outers_per):
+            o = min(outers_per, outer.shape[0] - o0)
+            np.matmul(outer[o0:o0 + o], F, out=coefficients[:o])
+            c = coefficients[:o].view(complex).reshape(-1, m + 1)
+            n_rings = c.shape[0]
+            for j0, count, w in spans:
+                half = (w + 1) // 2
+                cos, sin = (table[:, :half] for table in tables[w % 2])
+                for a0 in range(0, count, arcs_per):
+                    n = min(arcs_per, count - a0)
+                    r = n * n_rings
+                    np.multiply(c, np.exp(1j * _half_angles([2 * (j0 + a0 * B) + w], k, L)),
+                                out=base[:n_rings])
+                    np.multiply(steps[:n, None], base[None, :n_rings],
+                                out=turned[:r].reshape(n, n_rings, m + 1))
+                    np.copyto(re[:r], turned[:r].real)
+                    np.copyto(im[:r], turned[:r, 1:].imag)
+                    C = np.matmul(re[:r], cos, out=even[:r * half].reshape(r, half))
+                    S = np.matmul(im[:r], sin, out=odd[:r * half].reshape(r, half))
+                    yield (j0 + a0 * B, o0 * inner, w,
+                           C.reshape(n, n_rings, half), S.reshape(n, n_rings, half))
 
     return blocks
 
 
 def _ring_abs_integral(rings, m):
     """integral(evaluate): the quadrature of |P| over the rings' nodes,
-    block by block, with one `_arc_blocks` table for every P.
+    block by block, with one set of `_arc_blocks` tables for every P.
 
-    P is never held at all R L nodes: each block of arcs is one matmul of
-    about _BLOCK_DOUBLES values (`_arc_blocks`), whose |.| and weighted
-    sums are taken before the next block is formed.
+    P is never held at all R L nodes.  Each block gives the even and odd
+    parts C and S of P on half arcs (`_arc_blocks`), and the mirror pair
+    P(phi_c +- psi) = C +- S adds |C + S| + |C - S| = 2 max(|C|, |S|), an
+    odd arc's center node (S = 0) only |C|.  The block's weighted sums are
+    taken before the next block is formed.
     """
-    L = rings.L
-    B = _arc_width(L, m)
     blocks = _arc_blocks(rings, m)
 
     def integral(evaluate):
         total = 0.0
-        for a0, r0, block in blocks(evaluate):
-            np.abs(block, out=block)
-            # the short last arc, arc L // B when B does not divide L, ends at node L
-            block[L // B - a0:, :, L % B:] = 0.0
-            total += rings.weight[r0:r0 + block.shape[1]] @ block.sum(axis=(0, 2))
+        for _, r0, w, C, S in blocks(evaluate):
+            np.abs(C, out=C)
+            np.abs(S, out=S)
+            np.maximum(C, S, out=C)
+            mirror = np.full(C.shape[2], 2.0)
+            mirror[0] -= w % 2
+            sums = C.reshape(-1, C.shape[2]) @ mirror
+            total += rings.weight[r0:r0 + C.shape[1]] @ sums.reshape(C.shape[:2]).sum(axis=0)
         return float(total)
 
     return integral
@@ -306,15 +384,20 @@ def mz_check(points, m, trials=100, seed=0, min_nodes=1_000_000):
     of `quadrature_rings`, consistency-checked against a coarser grid on
     the first two trials.  Both grids are integrated by
     `_ring_abs_integral`: (2m+1)^d evaluations of each trial polynomial on
-    the torus of equispaced angles give every ring's Fourier coefficients,
-    and |P| is summed over arcs of B longitudes, one cos/sin-table matmul
-    per block of arcs (2(m+1) multiply-adds per node).  That route is exact
-    because P has degree <= m in each nested angle (each grid has
-    L >= 2m+1, raised if need be, so nothing aliases).  The discrete mean
-    is evaluated directly on the points, and only the points are read.  A
-    non-finite ratio fails the check.  Non-finite or non-unit rows and m
-    outside 1..MAX_DEGREE (the kernel-span trials need `make_kernel(d, m)`)
-    raise ValueError before any grid is built.
+    the torus of equispaced angles give the rings' Fourier coefficients,
+    one block of rings at a time, and |P| is summed over arcs of B
+    longitudes as mirror pairs about each arc's center,
+    P(phi_c +- psi) = C(psi) +- S(psi), with C and S two cos/sin-table
+    matmuls per block of half arcs (about m + 1/2 multiply-adds per node).
+    That route is exact because P has degree <= m in each nested angle
+    (each grid has L >= 2m+1, raised if need be, so nothing aliases).  The
+    tables and block buffers are built here, once per grid, and reused by
+    every trial.  The discrete mean is evaluated directly on the points,
+    and only the points are read.  A non-finite ratio fails the check.
+    Non-finite or non-unit rows, m outside 1..MAX_DEGREE (the kernel-span
+    trials need `make_kernel(d, m)`), trials not an integer >= 1 and
+    min_nodes not an integer >= 4096 (the coarse grid's floor) raise
+    ValueError before any grid is built.
     """
     X = as_coords(points)
     d = X.shape[1] - 1
@@ -322,11 +405,13 @@ def mz_check(points, m, trials=100, seed=0, min_nodes=1_000_000):
         raise ValueError(f"points must be finite unit vectors ({UNIT_TOL:g})")
     if not 1 <= m <= MAX_DEGREE:
         raise ValueError(f"polynomial degree m must be in 1..{MAX_DEGREE}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    # one cos/sin table per grid, shared by all the trials
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError("trials must be an integer >= 1")
+    if not isinstance(min_nodes, numbers.Integral) or min_nodes < _MIN_GRID_NODES:
+        raise ValueError(f"min_nodes must be an integer >= {_MIN_GRID_NODES}")
+    # one set of tables and block buffers per grid, shared by all the trials
     reference_integral = _ring_abs_integral(quadrature_rings(d, min_nodes, 2 * m + 1), m)
-    coarse_rings = quadrature_rings(d, max(4096, min_nodes // 4), 2 * m + 1)
+    coarse_rings = quadrature_rings(d, max(_MIN_GRID_NODES, min_nodes // 4), 2 * m + 1)
     coarse_integral = _ring_abs_integral(coarse_rings, m)
     spec_m = make_kernel(d, m)
     exponent_pool = list(monomial_exponents(d, m, 0))

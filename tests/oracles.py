@@ -11,7 +11,6 @@ from designforge.kernel import _energy_rule, _node_blocks, gw_d1
 from designforge.sphere import TWO_PI, cap_area_fraction, cap_colatitude, tangent_rows
 from designforge.verifier import (
     _arc_blocks,
-    _arc_width,
     monomial_exponents,
     monomial_sphere_integral,
 )
@@ -157,22 +156,26 @@ def gauss_gegenbauer_mp(n, alpha, nodes, indices, dps=30):
 def ring_values(evaluate, rings, m):
     """Values (R, L) of a degree-<=m polynomial at every node of the rings.
 
-    The same route as `verifier._ring_abs_integral`: each ring's Fourier
-    coefficients from the torus, then one real matmul against the cos/sin
-    table per block of arcs (`verifier._arc_blocks`), whose blocks are
-    assembled here.  Each step is exact for trigonometric degree <= m, so
-    the result is P at the nodes up to rounding.  Needs L >= 2m+1, so that
-    the nodes determine P on every ring.
+    The same route as `verifier._ring_abs_integral`: the rings' Fourier
+    coefficients per block of rings, turned to each arc's center, then the
+    two half-arc matmuls of `verifier._arc_blocks`, whose even and odd
+    parts C and S give P = C + S and C - S at the arc's mirror-paired
+    nodes, assembled here.  Each step is exact for trigonometric degree
+    <= m, so the result is P at the nodes up to rounding.  Needs L >= 2m+1,
+    so that the nodes determine P on every ring.
     """
     L = rings.L
     if L < 2 * m + 1:
         raise ValueError(f"rings need at least {2 * m + 1} longitudes for degree {m}")
-    R = rings.weight.size
-    B = _arc_width(L, m)
-    values = np.empty((R, -(-L // B), B))
-    for a0, r0, block in _arc_blocks(rings, m)(evaluate):
-        values[r0:r0 + block.shape[1], a0:a0 + block.shape[0]] = block.transpose(1, 0, 2)
-    return values.reshape(R, -1)[:, :L]
+    values = np.empty((rings.weight.size, L))
+    for j0, r0, w, C, S in _arc_blocks(rings, m)(evaluate):
+        arcs, n_rings, _ = C.shape
+        # node w // 2 + h of an arc is its center plus psi_h, node (w - 1) // 2 - h minus
+        block = np.empty((n_rings, arcs, w))
+        block[..., w // 2:] = (C + S).transpose(1, 0, 2)
+        block[..., :(w + 1) // 2] = (C - S)[..., ::-1].transpose(1, 0, 2)
+        values[r0:r0 + n_rings, j0:j0 + arcs * w] = block.reshape(n_rings, -1)
+    return values
 
 
 def worst_monomial_deviation_loop(X, n):

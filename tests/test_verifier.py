@@ -45,9 +45,36 @@ def _trial(d, m, kind, seed):
 # -- ring form of the reference grid ----
 
 # (2, 441, 10) and (1, 25, 12) have L = 2m+1 longitudes, the fewest ring_values
-# accepts; the prime L = 99 991 cuts S^1's ring into arcs with a short last one
+# accepts; the prime L = 99 991 cuts S^1's ring into arcs with a short last one.
+# The full and short last arcs of the S^1 and S^2 grids are odd and odd, odd
+# and even, and even and even, under the default block and under 2^8 doubles
+# (test_grid_cases_cover_the_arc_parities); on an even ring B is even, so an
+# even ring has no odd arc
 GRID_CASES = [(1, 5_000, 12), (2, 10_000, 9), (3, 27_000, 6), (3, 30_000, 12), (2, 441, 10),
-              (1, 25, 12), (1, 99_991, 12)]
+              (1, 25, 12), (1, 99_991, 12), (1, 3_859, 16), (1, 5_000, 16), (2, 625, 10)]
+
+
+def _arc_parities(cases):
+    """(full arc, short last arc) length parities of the grids' rings."""
+    parities = set()
+    for d, min_nodes, m in cases:
+        L = quadrature_rings(d, min_nodes).L
+        B = verifier._arc_width(L, m)
+        if L % B:
+            parities.add((B % 2, L % B % 2))
+    return parities
+
+
+@pytest.mark.parametrize("block", [_BLOCK_DOUBLES, 1 << 8])
+def test_grid_cases_cover_the_arc_parities(block, monkeypatch):
+    monkeypatch.setattr(verifier, "_BLOCK_DOUBLES", block)
+    cases = [case for case in GRID_CASES if case[0] <= 2]
+    assert _arc_parities(cases) == {(1, 1), (1, 0), (0, 0)}
+    # an even ring's arcs are all even
+    for L in range(2, 400, 2):
+        for m in (1, 5, 12, 16):
+            B = verifier._arc_width(L, m)
+            assert B % 2 == 0 and L % B % 2 == 0, (L, m)
 
 
 @pytest.mark.parametrize("d,min_nodes,m", GRID_CASES)
@@ -95,6 +122,71 @@ def test_ring_abs_integral_holds_no_full_grid_array(d, m):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * 2**20
+
+
+@pytest.mark.parametrize("d,m", [(1, 16), (2, 10), (3, 6)])
+def test_ring_abs_integral_peaks_under_2_mib(d, m):
+    # the tables and block buffers of the 10^6-node grids at the generate-mz
+    # degrees, with the trial polynomial's own temporaries on the torus: no
+    # per-trial (R, 2m+1) samples and no per-block products beyond them
+    rings = quadrature_rings(d, 1_000_000, 2 * m + 1)
+    evaluate = _trial(d, m, "kernel", [d, m])
+    tracemalloc.start()
+    try:
+        integral = verifier._ring_abs_integral(rings, m)
+        integral(evaluate)
+        integral(evaluate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+def _mirror_trial(L, first, width, m, part):
+    """sum_k a_k Re or Im (z e^(-i phi_c))^k, z = x0 + i x1: a degree-m
+    polynomial even ("even") or odd ("odd") in phi about the center phi_c
+    of the arc of `width` nodes from node `first` of every ring of L nodes."""
+    phi_c = (first + width / 2) * 2.0 * np.pi / L
+    a = np.random.default_rng([L, first, m]).standard_normal(m + 1)
+
+    def evaluate(Y):
+        powers = ((Y[:, 0] + 1j * Y[:, 1]) * np.exp(-1j * phi_c))[:, None] ** np.arange(m + 1)
+        return (powers.real if part == "even" else powers.imag) @ a
+
+    return evaluate
+
+
+@pytest.mark.parametrize("d,min_nodes,m", [(1, 3_859, 16), (1, 5_000, 12), (2, 625, 10),
+                                           (2, 10_000, 9)])
+@pytest.mark.parametrize("block", [_BLOCK_DOUBLES, 1 << 8])
+@pytest.mark.parametrize("arc", ["first", "last"])
+@pytest.mark.parametrize("part", ["even", "odd"])
+def test_mirror_parts_of_even_and_odd_polynomials(d, min_nodes, m, block, arc, part, monkeypatch):
+    # a polynomial even about an arc's center has S = 0 on that arc, and an
+    # odd one C = 0; either way P = C +- S at its nodes
+    monkeypatch.setattr(verifier, "_BLOCK_DOUBLES", block)
+    rings = quadrature_rings(d, min_nodes)
+    L = rings.L
+    B = verifier._arc_width(L, m)
+    first = 0 if arc == "first" else (L - 1) // B * B
+    width = min(B, L - first)
+    evaluate = _mirror_trial(L, first, width, m, part)
+    pts, w = sphere_quadrature_grid(d, min_nodes)
+    direct = evaluate(pts)
+    scale = np.max(np.abs(direct))
+    seen = False
+    for j0, _, w_arc, C, S in verifier._arc_blocks(rings, m)(evaluate):
+        if w_arc == width and j0 <= first < j0 + C.shape[0] * width:
+            a = (first - j0) // width
+            kept, vanished = (C[a], S[a]) if part == "even" else (S[a], C[a])
+            assert np.max(np.abs(kept)) > 1e-6 * scale
+            assert np.max(np.abs(vanished)) <= 1e-13 * scale
+            seen = True
+    assert seen
+    resampled = ring_values(evaluate, rings, m)
+    assert np.max(np.abs(resampled.ravel() - direct)) <= 1e-12 * np.max(np.abs(direct))
+    integral = verifier._ring_abs_integral(rings, m)(evaluate)
+    assert integral == pytest.approx(float(w @ np.abs(direct)), rel=1e-12)
 
 
 def test_quadrature_rings_are_cached_and_read_only():
@@ -222,6 +314,25 @@ def test_mz_rejects_non_unit_rows():
     X[5] *= 1.0 + 1e-10
     with pytest.raises(ValueError):
         mz_check(X, 2, trials=2, min_nodes=10_000)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"min_nodes": -5},
+    {"min_nodes": 0},
+    {"min_nodes": 1},
+    {"min_nodes": 10.5},
+    {"min_nodes": 4095},
+    {"trials": 2.5},
+])
+def test_mz_rejects_bad_counts_before_any_grid(kwargs, monkeypatch):
+    # these used to raise TypeError or a misleading ArithmeticError from the
+    # grid-consistency check, or built grids of fewer nodes than the coarse one
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(verifier, "quadrature_rings", no_grid)
+    with pytest.raises(ValueError):
+        mz_check(icosahedron(), 2, **{"trials": 2, "min_nodes": 10_000, **kwargs})
 
 
 def test_mz_non_finite_ratio_fails(monkeypatch):
