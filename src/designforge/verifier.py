@@ -242,6 +242,19 @@ def _arc_width(L, m):
     return B - 1 if B < L and B > 1 and (L - B) % 2 else B
 
 
+def _one_allocation(specs):
+    """Arrays of the given (shape, dtype) pairs as views of one allocation,
+    each on a 16-byte boundary.  `_arc_blocks` holds a grid's tables and
+    block buffers so: as a dozen separate arrays near glibc's mmap
+    threshold they cost the generate-mz jobs 197 / 143 / 678 minor page
+    faults per `mz_check` call on S^1 / S^2 / S^3, as one 170 / 0 / 297."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    starts = np.cumsum([0] + [-(-size // 16) * 16 for size in sizes])
+    work = np.empty(starts[-1], np.uint8)
+    return [work[start:start + size].view(dtype).reshape(shape)
+            for (shape, dtype), start, size in zip(specs, starts, sizes)]
+
+
 def _arc_blocks(rings, m):
     """blocks(evaluate): P at the rings' nodes as mirror pairs, one block
     of arcs at a time.
@@ -258,9 +271,10 @@ def _arc_blocks(rings, m):
     So C and S on the half arc are two real matmuls of the turned rows'
     Re and Im parts against fixed (m+1, ceil(w/2)) and (m, ceil(w/2))
     tables of s_k cos(k psi_h) and -s_k sin(k psi_h): about m + 1/2
-    multiply-adds per node, against 2(m+1) for P at every node.  The
-    tables hang on the parity of w alone, so arcs of one parity share
-    them.  An odd arc's center node is psi_0 = 0, where S = 0.
+    multiply-adds per node, against 2(m+1) for P at every node.  Arcs of
+    one parity share one table pair, a shorter arc reading its first
+    ceil(w/2) columns.  An odd arc's center node is psi_0 = 0, where
+    S = 0.
 
     A block is a run of arcs of one width times the rings of a run of
     outer colatitudes, about _BLOCK_DOUBLES // B rows, and its ring
@@ -268,9 +282,9 @@ def _arc_blocks(rings, m):
     against the torus spectra (`_ring_coefficients`).  The tables, the
     turns within a block and every block buffer depend on (rings, m) only
     and are allocated once, here; the loop writes them through out= and
-    allocates only arrays of a few rows.  blocks yields (first node, first
-    ring, w, C, S), with C and S (arcs, rings, ceil(w/2)) views of the
-    buffers that hold until the next block.
+    allocates nothing larger than one row of turns.  blocks yields (first
+    node, first ring, w, C, S), with C and S (arcs, rings, ceil(w/2))
+    views of the buffers that hold until the next block.
     """
     L = rings.L
     K = 2 * m + 1
@@ -279,27 +293,29 @@ def _arc_blocks(rings, m):
     full, short = divmod(L, B)
     outer, spectra = _ring_coefficients(rings, m)
     inner = rings.weight.size // outer.shape[0]
-    target = max(1, _BLOCK_DOUBLES // B)  # rows of an arc's width in a block
+    target = max(1, _BLOCK_DOUBLES // B)  # block rows of B nodes
     outers_per = min(outer.shape[0], max(1, target // inner))
     arcs_per = min(full, max(1, target // (outers_per * inner)))
     rows = arcs_per * outers_per * inner
     scale = np.where(k == 0, 1.0, 2.0)[:, None] / K
     # (first node, arcs, width) of the full arcs and the short last one
     spans = [(j0, count, w) for j0, count, w in ((0, full, B), (full * B, 1, short)) if w]
-    tables = {}  # cos and sin tables by arc parity, as wide as the widest arc (B >= short)
-    for _, _, w in spans:
-        if w % 2 not in tables:
-            angle = _half_angles(k, 2 * np.arange((w + 1) // 2) + 1 - w % 2, L)
-            tables[w % 2] = scale * np.cos(angle), -scale[1:] * np.sin(angle[1:])
+    # one cos and one sin table per arc parity, as wide as the full arcs' half
+    parities = sorted({w % 2 for _, _, w in spans})
+    half_B = (B + 1) // 2
+    specs = [((m + 1, half_B), float), ((m, half_B), float)] * len(parities) + [
+        ((outers_per, 2 * inner * (m + 1)), float), ((outers_per * inner, m + 1), complex),
+        ((rows, m + 1), complex), ((rows, m + 1), float), ((rows, m), float),
+        ((rows * half_B,), float), ((rows * half_B,), float)]
+    *table_views, coefficients, base, turned, re, im, even, odd = _one_allocation(specs)
+    tables = {}
+    for p, cos, sin in zip(parities, table_views[::2], table_views[1::2]):
+        angle = _half_angles(k, 2 * np.arange(half_B) + 1 - p, L)
+        np.multiply(scale, np.cos(angle), out=cos)
+        np.multiply(-scale[1:], np.sin(angle[1:]), out=sin)
+        tables[p] = cos, sin
     # the turn of arc a0 + a is that of a0 times that of a
     steps = np.exp(1j * _half_angles(2 * B * np.arange(arcs_per), k, L))
-    coefficients = np.empty((outers_per, 2 * inner * (m + 1)))
-    base = np.empty((outers_per * inner, m + 1), complex)
-    turned = np.empty((rows, m + 1), complex)
-    re = np.empty((rows, m + 1))
-    im = np.empty((rows, m))
-    even = np.empty(rows * ((B + 1) // 2))
-    odd = np.empty_like(even)
 
     def blocks(evaluate):
         F = spectra(evaluate)

@@ -54,22 +54,16 @@ GRID_CASES = [(1, 5_000, 12), (2, 10_000, 9), (3, 27_000, 6), (3, 30_000, 12), (
               (1, 25, 12), (1, 99_991, 12), (1, 3_859, 16), (1, 5_000, 16), (2, 625, 10)]
 
 
-def _arc_parities(cases):
-    """(full arc, short last arc) length parities of the grids' rings."""
-    parities = set()
-    for d, min_nodes, m in cases:
-        L = quadrature_rings(d, min_nodes).L
-        B = verifier._arc_width(L, m)
-        if L % B:
-            parities.add((B % 2, L % B % 2))
-    return parities
-
-
 @pytest.mark.parametrize("block", [_BLOCK_DOUBLES, 1 << 8])
 def test_grid_cases_cover_the_arc_parities(block, monkeypatch):
     monkeypatch.setattr(verifier, "_BLOCK_DOUBLES", block)
-    cases = [case for case in GRID_CASES if case[0] <= 2]
-    assert _arc_parities(cases) == {(1, 1), (1, 0), (0, 0)}
+    parities = set()
+    for d, min_nodes, m in GRID_CASES:
+        L = quadrature_rings(d, min_nodes).L
+        B = verifier._arc_width(L, m)
+        if d <= 2 and L % B:
+            parities.add((B % 2, L % B % 2))
+    assert parities == {(1, 1), (1, 0), (0, 0)}
     # an even ring's arcs are all even
     for L in range(2, 400, 2):
         for m in (1, 5, 12, 16):
@@ -126,9 +120,9 @@ def test_ring_abs_integral_holds_no_full_grid_array(d, m):
 
 @pytest.mark.parametrize("d,m", [(1, 16), (2, 10), (3, 6)])
 def test_ring_abs_integral_peaks_under_2_mib(d, m):
-    # the tables and block buffers of the 10^6-node grids at the generate-mz
-    # degrees, with the trial polynomial's own temporaries on the torus: no
-    # per-trial (R, 2m+1) samples and no per-block products beyond them
+    # one set of tables and block buffers, reused by the second trial, and the
+    # trial polynomial's own temporaries on the torus; a per-trial (R, 2m+1)
+    # sample array of the (3, 6) grid's 10^4 rings would take it past 2 MiB
     rings = quadrature_rings(d, 1_000_000, 2 * m + 1)
     evaluate = _trial(d, m, "kernel", [d, m])
     tracemalloc.start()
@@ -184,7 +178,7 @@ def test_mirror_parts_of_even_and_odd_polynomials(d, min_nodes, m, block, arc, p
             seen = True
     assert seen
     resampled = ring_values(evaluate, rings, m)
-    assert np.max(np.abs(resampled.ravel() - direct)) <= 1e-12 * np.max(np.abs(direct))
+    assert np.max(np.abs(resampled.ravel() - direct)) <= 1e-12 * scale
     integral = verifier._ring_abs_integral(rings, m)(evaluate)
     assert integral == pytest.approx(float(w @ np.abs(direct)), rel=1e-12)
 
