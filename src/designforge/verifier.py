@@ -247,7 +247,7 @@ def _one_allocation(specs):
     each on a 16-byte boundary.  `_arc_blocks` holds a grid's tables and
     block buffers so: as a dozen separate arrays near glibc's mmap
     threshold they cost the generate-mz jobs 197 / 143 / 678 minor page
-    faults per `mz_check` call on S^1 / S^2 / S^3, as one 170 / 0 / 297."""
+    faults per `mz_check` call on S^1 / S^2 / S^3, as one 172 / 0 / 295."""
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
     starts = np.cumsum([0] + [-(-size // 16) * 16 for size in sizes])
     work = np.empty(starts[-1], np.uint8)
