@@ -18,10 +18,10 @@ point one sphere down.  Every coordinate is a product of one cos or sin
 per angle, so a polynomial of degree <= m is a trigonometric polynomial of
 degree <= m in each angle separately, fixed exactly by its values on the
 torus of 2m+1 equispaced angles per axis.  Those values give the rings'
-m+1 Fourier coefficients in longitude: every axial level but the
-outermost is interpolated on the torus, an rfft of length 2m+1 follows,
-and the outermost level's interpolation is one small matmul per block of
-rings.  Each ring is then cut into arcs of B longitudes.  An arc is
+m+1 Fourier coefficients in longitude: an rfft of length 2m+1 along the
+torus longitudes, every axial level but the outermost interpolated on
+its result, and the outermost level's interpolation as one small matmul
+per block of rings.  Each ring is then cut into arcs of B longitudes.  An arc is
 symmetric about its center phi_c, so with the coefficients turned by phi_c
 P(phi_c +- psi) = C(psi) +- S(psi), C even and S odd in psi, and C and S
 on a block of half arcs are two real matmuls against fixed (m+1, B/2) and
@@ -187,12 +187,13 @@ def _ring_coefficients(rings, m):
     psi_k = 2 pi k / K per axis.  Those (2m+1)^d values are the only
     evaluations of P.  One (n_a, K) trigonometric-interpolation matrix per
     axial level moves that level's angle from psi to its Gauss colatitudes
-    arccos t.  spectra(evaluate) applies every level's matrix but the
-    outermost on the torus and takes an rfft of length K along the
-    longitudes: F, (K, n (m+1)) complex stored as interleaved (Re, Im)
-    pairs, n the number of rings per outer colatitude.  Interpolation and
-    rfft commute, so the rings at the outer colatitudes i have the
-    coefficients outer[i] @ F, (len(i) n, m+1) viewed as complex, with
+    arccos t.  spectra(evaluate) takes an rfft of length K along the
+    torus longitudes, (K^(d-1), m+1) complex, and applies every level's
+    matrix but the outermost to it, as a real matrix on the interleaved
+    (Re, Im) pairs: F, (K, n (m+1)) complex stored as (Re, Im) pairs, n
+    the number of rings per outer colatitude.  Interpolation and rfft
+    commute, so the rings at the outer colatitudes i have the coefficients
+    outer[i] @ F, (len(i) n, m+1) viewed as complex, with
     P(phi) = (1/K) (c_0 + 2 Re sum_{k=1..m} c_k e^(i k phi)).  On S^1,
     outer is the 1x1 identity.
     """
@@ -210,20 +211,20 @@ def _ring_coefficients(rings, m):
     outer = interps[0] if interps else np.ones((1, 1))
     # an inner level's product holds the angles before its axis, already
     # moved to their colatitudes, its own colatitudes, and the torus angles
-    # after it
+    # after it, down to the longitudes' (Re, Im) coefficient pairs
     before = outer.shape[1]
     products = []
     for axis, interp in enumerate(interps[1:], 1):
-        products.append(np.empty((before, interp.shape[0], K ** (len(interps) - axis))))
+        after = K ** (len(interps) - axis - 1) * 2 * (m + 1)
+        products.append(np.empty((before, interp.shape[0], after)))
         before *= interp.shape[0]
-    spectrum = np.empty((outer.shape[1], before // outer.shape[1], m + 1), complex)
 
     def spectra(evaluate):
-        samples = evaluate(torus)
+        # (K^(d-1), m+1) complex: at most 19 KiB at the generate-mz degrees
+        F = np.fft.rfft(evaluate(torus).reshape(-1, K)).view(np.float64)
         for interp, out in zip(interps[1:], products):
-            samples = np.matmul(interp, samples.reshape(out.shape[0], K, -1), out=out)
-        np.fft.rfft(samples.reshape(spectrum.shape[:2] + (K,)), out=spectrum)
-        return spectrum.view(np.float64).reshape(outer.shape[1], -1)
+            F = np.matmul(interp, F.reshape(out.shape[0], K, -1), out=out)
+        return F.reshape(outer.shape[1], -1)
 
     return outer, spectra
 
@@ -236,23 +237,8 @@ def _half_angles(p, k, L):
 def _arc_width(L, m):
     """Longitudes B per arc: the most with 2(m+1) B <= _BLOCK_DOUBLES, so
     that the half-arc cos and sin tables, (2m+1) ceil(B/2) values, fill
-    about half of it; at most the ring, and below it of L's parity, so that
-    an even ring's short last arc is even too and shares the tables."""
-    B = min(L, max(1, _BLOCK_DOUBLES // (2 * (m + 1))))
-    return B - 1 if B < L and B > 1 and (L - B) % 2 else B
-
-
-def _one_allocation(specs):
-    """Arrays of the given (shape, dtype) pairs as views of one allocation,
-    each on a 16-byte boundary.  `_arc_blocks` holds a grid's tables and
-    block buffers so: as a dozen separate arrays near glibc's mmap
-    threshold they cost the generate-mz jobs 197 / 143 / 678 minor page
-    faults per `mz_check` call on S^1 / S^2 / S^3, as one 172 / 0 / 295."""
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
-    starts = np.cumsum([0] + [-(-size // 16) * 16 for size in sizes])
-    work = np.empty(starts[-1], np.uint8)
-    return [work[start:start + size].view(dtype).reshape(shape)
-            for (shape, dtype), start, size in zip(specs, starts, sizes)]
+    about half of it; at most the ring."""
+    return min(L, max(1, _BLOCK_DOUBLES // (2 * (m + 1))))
 
 
 def _arc_blocks(rings, m):
@@ -271,10 +257,9 @@ def _arc_blocks(rings, m):
     So C and S on the half arc are two real matmuls of the turned rows'
     Re and Im parts against fixed (m+1, ceil(w/2)) and (m, ceil(w/2))
     tables of s_k cos(k psi_h) and -s_k sin(k psi_h): about m + 1/2
-    multiply-adds per node, against 2(m+1) for P at every node.  Arcs of
-    one parity share one table pair, a shorter arc reading its first
-    ceil(w/2) columns.  An odd arc's center node is psi_0 = 0, where
-    S = 0.
+    multiply-adds per node, against 2(m+1) for P at every node.  The full
+    arcs share one table pair and the short last arc has its own, no
+    wider.  An odd arc's center node is psi_0 = 0, where S = 0.
 
     A block is a run of arcs of one width times the rings of a run of
     outer colatitudes, about _BLOCK_DOUBLES // B rows, and its ring
@@ -300,22 +285,19 @@ def _arc_blocks(rings, m):
     scale = np.where(k == 0, 1.0, 2.0)[:, None] / K
     # (first node, arcs, width) of the full arcs and the short last one
     spans = [(j0, count, w) for j0, count, w in ((0, full, B), (full * B, 1, short)) if w]
-    # one cos and one sin table per arc parity, as wide as the full arcs' half
-    parities = sorted({w % 2 for _, _, w in spans})
-    half_B = (B + 1) // 2
-    specs = [((m + 1, half_B), float), ((m, half_B), float)] * len(parities) + [
-        ((outers_per, 2 * inner * (m + 1)), float), ((outers_per * inner, m + 1), complex),
-        ((rows, m + 1), complex), ((rows, m + 1), float), ((rows, m), float),
-        ((rows * half_B,), float), ((rows * half_B,), float)]
-    *table_views, coefficients, base, turned, re, im, even, odd = _one_allocation(specs)
-    tables = {}
-    for p, cos, sin in zip(parities, table_views[::2], table_views[1::2]):
-        angle = _half_angles(k, 2 * np.arange(half_B) + 1 - p, L)
-        np.multiply(scale, np.cos(angle), out=cos)
-        np.multiply(-scale[1:], np.sin(angle[1:]), out=sin)
-        tables[p] = cos, sin
+    tables = []  # one cos and one sin table per arc width
+    for _, _, w in spans:
+        angle = _half_angles(k, 2 * np.arange((w + 1) // 2) + 1 - w % 2, L)
+        tables.append((scale * np.cos(angle), -scale[1:] * np.sin(angle[1:])))
     # the turn of arc a0 + a is that of a0 times that of a
     steps = np.exp(1j * _half_angles(2 * B * np.arange(arcs_per), k, L))
+    coefficients = np.empty((outers_per, 2 * inner * (m + 1)))
+    base = np.empty((outers_per * inner, m + 1), complex)
+    turned = np.empty((rows, m + 1), complex)
+    re = np.empty((rows, m + 1))
+    im = np.empty((rows, m))
+    even = np.empty(rows * ((B + 1) // 2))
+    odd = np.empty_like(even)
 
     def blocks(evaluate):
         F = spectra(evaluate)
@@ -324,9 +306,8 @@ def _arc_blocks(rings, m):
             np.matmul(outer[o0:o0 + o], F, out=coefficients[:o])
             c = coefficients[:o].view(complex).reshape(-1, m + 1)
             n_rings = c.shape[0]
-            for j0, count, w in spans:
-                half = (w + 1) // 2
-                cos, sin = (table[:, :half] for table in tables[w % 2])
+            for (j0, count, w), (cos, sin) in zip(spans, tables):
+                half = cos.shape[1]
                 for a0 in range(0, count, arcs_per):
                     n = min(arcs_per, count - a0)
                     r = n * n_rings

@@ -46,12 +46,12 @@ def _trial(d, m, kind, seed):
 
 # (2, 441, 10) and (1, 25, 12) have L = 2m+1 longitudes, the fewest ring_values
 # accepts; the prime L = 99 991 cuts S^1's ring into arcs with a short last one.
-# The full and short last arcs of the S^1 and S^2 grids are odd and odd, odd
-# and even, and even and even, under the default block and under 2^8 doubles
-# (test_grid_cases_cover_the_arc_parities); on an even ring B is even, so an
-# even ring has no odd arc
+# The full and short last arcs of the S^1 and S^2 grids take every pair of
+# parities, under the default block and under 2^8 doubles
+# (test_grid_cases_cover_the_arc_parities)
 GRID_CASES = [(1, 5_000, 12), (2, 10_000, 9), (3, 27_000, 6), (3, 30_000, 12), (2, 441, 10),
-              (1, 25, 12), (1, 99_991, 12), (1, 3_859, 16), (1, 5_000, 16), (2, 625, 10)]
+              (1, 25, 12), (1, 99_991, 12), (1, 3_859, 16), (1, 5_000, 16), (2, 625, 10),
+              (1, 4_999, 9)]
 
 
 @pytest.mark.parametrize("block", [_BLOCK_DOUBLES, 1 << 8])
@@ -63,12 +63,7 @@ def test_grid_cases_cover_the_arc_parities(block, monkeypatch):
         B = verifier._arc_width(L, m)
         if d <= 2 and L % B:
             parities.add((B % 2, L % B % 2))
-    assert parities == {(1, 1), (1, 0), (0, 0)}
-    # an even ring's arcs are all even
-    for L in range(2, 400, 2):
-        for m in (1, 5, 12, 16):
-            B = verifier._arc_width(L, m)
-            assert B % 2 == 0 and L % B % 2 == 0, (L, m)
+    assert parities == {(1, 1), (1, 0), (0, 0), (0, 1)}
 
 
 @pytest.mark.parametrize("d,min_nodes,m", GRID_CASES)
@@ -134,6 +129,17 @@ def test_ring_abs_integral_peaks_under_2_mib(d, m):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("d,min_nodes,m", [(1, 5_000, 8), (2, 10_000, 5), (3, 27_000, 3)])
+def test_ring_abs_integral_keeps_to_the_numpy_1_fft_signature(d, min_nodes, m, monkeypatch):
+    # numpy.fft takes no out= before numpy 2.0, and numpy >= 1.24 is supported
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, axis=-1, norm=None: rfft(a, n, axis, norm))
+    evaluate = _trial(d, m, "kernel", [d, m])
+    pts, w = sphere_quadrature_grid(d, min_nodes)
+    integral = verifier._ring_abs_integral(quadrature_rings(d, min_nodes), m)(evaluate)
+    assert integral == pytest.approx(float(w @ np.abs(evaluate(pts))), rel=1e-12)
 
 
 def _mirror_trial(L, first, width, m, part):
