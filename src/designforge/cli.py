@@ -20,6 +20,7 @@ the points and then runs it at degree n.
 import argparse
 import ast
 import datetime
+import itertools
 import json
 import math
 import sys
@@ -147,6 +148,9 @@ def read_pointset(path):
             if not line.strip():
                 continue
             try:
+                # float() also reads digit groups such as 0_1, which no number is written with
+                if "_" in line:
+                    raise ValueError(line)
                 row = [float(v) for v in line.split(",")]
             except ValueError:
                 raise DataFormatError(f"{path}: line {lineno}: not a numeric row")
@@ -172,12 +176,22 @@ def read_pointset(path):
             if key not in doc:
                 raise DataFormatError(f"{path}: missing field {key!r}")
         d = _int_field(doc, "d", path)
+        points = doc["points"]
         try:
-            X = np.asarray(doc["points"], dtype=float)
-        except (TypeError, ValueError):
-            raise DataFormatError(f"{path}: points are not numeric")
-        if X.ndim != 2 or X.shape[1] != d + 1:
+            square = isinstance(points, list) and points and {*map(len, points)} == {d + 1}
+        except TypeError:  # a row that is a number, a bool or null
+            square = False
+        if not square:
             raise DataFormatError(f"{path}: points must be an N x {d + 1} matrix")
+        # numbers are JSON's: int or float, not bool, and not a string that
+        # float() would read
+        values = list(itertools.chain.from_iterable(points))
+        if not {*map(type, values)} <= {int, float}:
+            raise DataFormatError(f"{path}: points are not numeric")
+        try:
+            X = np.fromiter(values, float, count=len(values)).reshape(len(points), d + 1)
+        except OverflowError:
+            raise DataFormatError(f"{path}: points are not numeric")
         if X.shape[0] != _int_field(doc, "N", path):
             raise DataFormatError(f"{path}: N={doc['N']} does not match {X.shape[0]} rows")
         n = _int_field(doc, "n", path) if doc.get("n") is not None else None

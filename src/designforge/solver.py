@@ -7,7 +7,8 @@ _MEMORY pairs (s, y), started from (s.y / y.y) times the identity and
 projected onto the tangent space at X.  The points move along great
 circles, X(t) = exp_X(t P), with Armijo backtracking from t = 1.  Pairs are
 carried to each new point by tangent projection (row i of s or y loses its
-component along x_i), and a pair with s.y <= 0 is not stored.  With no
+component along x_i), all of them and the last move in one call on the one
+array that holds them, and a pair with s.y <= 0 is not stored.  With no
 memory, or when the two-loop direction is not a descent direction, P is
 steepest descent at the curvature-certificate step 1 / (3 g''(1) + g'(1))
 along the velocities -(N/2) G, the step a plain descent would take.  A
@@ -33,6 +34,7 @@ from .kernel import (
     Configuration,
     _energy_raw,
     _gradient_raw,
+    _term_buffer,
     gw_d1,  # perfbench/tracing.py wraps this name; solve never calls it
     make_kernel,
 )
@@ -122,17 +124,17 @@ def initial_configuration(spec, N, mode="centers", seed=0, partition=None):
     return Configuration(spec, X), initial_energy_bound(spec, partition)
 
 
-def _two_loop(G, memory, gamma):
-    """-H G for the L-BFGS inverse-Hessian estimate H of the (s, y, 1/s.y)
-    pairs in memory (oldest first), started from gamma * identity."""
+def _two_loop(G, pairs, rhos, gamma):
+    """-H G for the L-BFGS inverse-Hessian estimate H of the (s, y) pairs
+    (oldest first) with their 1/s.y in rhos, started from gamma * identity."""
     q = G.copy()
     alphas = []
-    for s, y, rho in reversed(memory):
+    for (s, y), rho in zip(pairs[::-1], rhos[::-1]):
         a = rho * float(np.vdot(s, q))
         q -= a * y
         alphas.append(a)
     q *= gamma
-    for (s, y, rho), a in zip(memory, reversed(alphas)):
+    for (s, y), rho, a in zip(pairs, rhos, reversed(alphas)):
         q += (a - rho * float(np.vdot(y, q))) * s
     return -q
 
@@ -152,9 +154,12 @@ def solve(spec, init, opts=None, initial_bound=None):
     N = X.shape[0]
     tol2 = opts.tolerance**2
 
-    # every energy call keeps its fields F, so the gradient at the accepted
-    # point reuses them: one field pass per trial point
-    E, F = _energy_raw(spec, X, fields=True)
+    # every energy call keeps its fields F, and its terms where the kernel
+    # keeps them, so the gradient at the accepted point reuses them: one
+    # field pass per trial point.  The terms live in one buffer, which each
+    # trial overwrites after the gradient it serves has been taken.
+    terms = _term_buffer(spec, N)
+    E, F = _energy_raw(spec, X, fields=True, terms=terms)
     if not np.isfinite(E):
         raise ArithmeticError("numerical blowup: non-finite energy")
 
@@ -164,9 +169,12 @@ def solve(spec, init, opts=None, initial_bound=None):
 
     energy_trace = [E]
     step_trace = []
-    memory = []
+    # slot 0: the previous accepted move (step, gradient); slots 1..len(rhos):
+    # the (s, y) pairs, oldest first, with their 1/s.y in rhos
+    stack = np.zeros((_MEMORY + 1, 2, N, spec.d + 1))
+    rhos = []
+    moved = False
     gamma = G = None
-    last = None  # (step, gradient) of the previous accepted move
     iterations = 0
     stall = 0
     terminated = "max_iterations"
@@ -178,29 +186,35 @@ def solve(spec, init, opts=None, initial_bound=None):
             break
 
         if G is None:  # a retry after a failed search keeps the gradient
-            G = _gradient_raw(spec, X, F)
+            G = _gradient_raw(spec, X, F, terms)
         if not np.any(G):
             terminated = "stalled"
             break
-        # carry the pairs and the last move to the tangent space at X
-        memory = [(tangent_rows(X, s), tangent_rows(X, y), rho) for s, y, rho in memory]
-        if last is not None:
-            s = tangent_rows(X, last[0])
-            y = G - tangent_rows(X, last[1])
+        # carry the last move and the pairs to the tangent space at X
+        used = stack[:len(rhos) + 1]
+        used[...] = tangent_rows(X, used)
+        if moved:
+            s = stack[0, 0]
+            y = G - stack[0, 1]
             sy = float(np.vdot(s, y))
             if sy > 0.0:
-                memory = (memory + [(s, y, 1.0 / sy)])[-_MEMORY:]
+                if len(rhos) == _MEMORY:
+                    stack[1:-1] = stack[2:]
+                    del rhos[0]
+                stack[len(rhos) + 1] = s, y
+                rhos.append(1.0 / sy)
                 gamma = sy / float(np.vdot(y, y))
 
-        P = tangent_rows(X, _two_loop(G, memory, gamma)) if memory else None
+        pairs = stack[1:len(rhos) + 1]
+        P = tangent_rows(X, _two_loop(G, pairs, rhos, gamma)) if rhos else None
         if P is None or not np.vdot(G, P) < 0.0:
-            memory, P = [], steepest * G
+            rhos, P = [], steepest * G
         deriv = float(np.vdot(G, P))
 
         t = 1.0
         for _bt in range(_MAX_BACKTRACKS):
             Xt = _geodesic_rows(X, P, t)
-            Et, Ft = _energy_raw(spec, Xt, fields=True)
+            Et, Ft = _energy_raw(spec, Xt, fields=True, terms=terms)
             if not np.isfinite(Et):
                 raise ArithmeticError("numerical blowup: non-finite energy")
             if Et <= E + _ARMIJO * t * deriv:
@@ -210,13 +224,14 @@ def solve(spec, init, opts=None, initial_bound=None):
             # a failed search restarts from steepest descent; if it already
             # was steepest descent, a retry would repeat it exactly
             stall += 1
-            if not memory or stall >= _STALL_LIMIT:
+            if not rhos or stall >= _STALL_LIMIT:
                 terminated = "stalled"
                 break
-            memory, last = [], None
+            rhos, moved = [], False
             continue
 
-        last = (t * P, G)
+        stack[0] = t * P, G
+        moved = True
         X, F, G = Xt, Ft, None
         iterations += 1
         previous = E

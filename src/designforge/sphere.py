@@ -34,8 +34,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def tangent_rows(X, V):
-    """V with each row's component along the matching row of X removed."""
-    return V - np.einsum("ij,ij->i", V, X)[:, None] * X
+    """V with each row's component along the matching row of X removed.
+
+    V may be a stack (..., N, d+1) of such arrays; each is projected as it
+    would be alone, bit for bit."""
+    return V - np.einsum("...ij,ij->...i", V, X)[..., None] * X
 
 
 def _geodesic_rows(X, V, t):
@@ -260,27 +263,6 @@ def sphere_quadrature_grid(d, min_nodes=1_000_000, min_longitudes=1):
 
 # -- partitions ----
 
-def _diameter_bound(levels, m):
-    if not levels:
-        return 2.0
-    lo, hi = levels[0]
-    if m == 1:
-        width = min(hi - lo, math.pi)
-        return 2.0 * math.sin(width / 2.0)
-    if len(levels) == 1:
-        # full cross-section band: exact diameter 2*sin(s/2) with
-        # s the admissible colatitude sum closest to pi
-        s = min(max(math.pi, 2.0 * lo), 2.0 * hi)
-        return 2.0 * math.sin(s / 2.0)
-    sub = _diameter_bound(levels[1:], m - 1)
-    if lo <= math.pi / 2.0 <= hi:
-        smax = 1.0
-    else:
-        smax = max(math.sin(lo), math.sin(hi))
-    bound = math.sqrt(4.0 * math.sin((hi - lo) / 2.0) ** 2 + (smax * sub) ** 2)
-    return min(bound, 2.0)
-
-
 def _center_coords(levels, m):
     if not levels:
         out = np.zeros(m + 1)
@@ -325,26 +307,62 @@ class Partition:
 
     @functools.cached_property
     def region_diameters(self):
-        """Analytic upper bound on each region's diameter."""
-        return np.array([_diameter_bound(b, self.d) for b in self.bounds])
+        """Analytic upper bound on each region's diameter.
+
+        A region with no levels is bounded by 2.  Its last level bounds it
+        exactly: an arc of width w on the circle has chord 2 sin(w / 2), and
+        a full band lo <= theta <= hi across the cross-section has diameter
+        2 sin(s / 2), s the colatitude sum closest to pi.  Each level above
+        combines the chord 2 sin((hi - lo) / 2) across it with the bound b
+        of the levels below, scaled by the largest sine s_max of its
+        colatitudes: min(2, sqrt(4 sin^2((hi - lo) / 2) + (s_max b)^2)).
+        The levels are taken innermost first, each over all regions at once.
+        """
+        d = self.d
+        depth, lo, hi = self._angles
+        bound = np.full(self.N, 2.0)
+        for j in range(d - 1, -1, -1):
+            rows = depth > j
+            a, b = lo[rows, j], hi[rows, j]
+            if j == d - 1:
+                bound[rows] = 2.0 * np.sin(np.minimum(b - a, math.pi) / 2.0)
+                continue
+            band = 2.0 * np.sin(np.minimum(np.maximum(math.pi, 2.0 * a), 2.0 * b) / 2.0)
+            smax = np.where((a <= math.pi / 2.0) & (math.pi / 2.0 <= b),
+                            1.0, np.maximum(np.sin(a), np.sin(b)))
+            inner = np.sqrt(4.0 * np.sin((b - a) / 2.0) ** 2 + (smax * bound[rows]) ** 2)
+            bound[rows] = np.where(depth[rows] == j + 1, band, np.minimum(inner, 2.0))
+        return bound
+
+    @functools.cached_property
+    def _angles(self):
+        """(depth, lo, hi): each region's level count, and its level bounds in
+        radians as (N, d) arrays, NaN past its depth."""
+        d, N = self.d, self.N
+        depth = np.fromiter(map(len, self.bounds), int, count=N)
+        chain = itertools.chain.from_iterable
+        flat = np.fromiter(chain(chain(self.bounds)), float, count=2 * int(depth.sum()))
+        levels = np.full((N, d, 2), math.nan)
+        levels[np.arange(d) < depth[:, None]] = flat.reshape(-1, 2)
+        lo, hi = levels[..., 0].copy(), levels[..., 1].copy()
+        for a in (depth, lo, hi):
+            a.setflags(write=False)
+        return depth, lo, hi
 
     @functools.cached_property
     def _levels(self):
-        """(depth, lo, hi): each region's level count, and its level bounds as
-        (N, d) arrays, NaN past its depth.  On the colatitude levels lo and
-        hi are cap-area fractions on the level's sphere; the circle level
+        """(depth, lo, hi): `_angles`, except that on the colatitude levels lo
+        and hi are cap-area fractions on the level's sphere; the circle level
         keeps its longitudes."""
         d = self.d
-        depth = np.array([len(b) for b in self.bounds])
-        missing = ((math.nan, math.nan),)
-        levels = np.array([b + missing * (d - len(b)) for b in self.bounds])
-        lo, hi = levels[..., 0].copy(), levels[..., 1].copy()
+        depth, lo, hi = self._angles
+        lo, hi = lo.copy(), hi.copy()
         for j in range(d - 1):
             rows = depth > j
             edges, where = np.unique(np.concatenate([lo[rows, j], hi[rows, j]]),
                                      return_inverse=True)
             lo[rows, j], hi[rows, j] = cap_area_fraction(d - j, edges)[where].reshape(2, -1)
-        for a in (depth, lo, hi):
+        for a in (lo, hi):
             a.setflags(write=False)
         return depth, lo, hi
 

@@ -97,6 +97,29 @@ def _sample_region(levels, m, rng):
     return np.concatenate([math.sin(theta) * sub, [math.cos(theta)]])
 
 
+def diameter_bound(levels, m):
+    """The bound of `Partition.region_diameters` for one region's levels on
+    S^m, by recursion over its levels, outermost first."""
+    if not levels:
+        return 2.0
+    lo, hi = levels[0]
+    if m == 1:
+        width = min(hi - lo, math.pi)
+        return 2.0 * math.sin(width / 2.0)
+    if len(levels) == 1:
+        # full cross-section band: exact diameter 2*sin(s/2) with
+        # s the admissible colatitude sum closest to pi
+        s = min(max(math.pi, 2.0 * lo), 2.0 * hi)
+        return 2.0 * math.sin(s / 2.0)
+    sub = diameter_bound(levels[1:], m - 1)
+    if lo <= math.pi / 2.0 <= hi:
+        smax = 1.0
+    else:
+        smax = max(math.sin(lo), math.sin(hi))
+    bound = math.sqrt(4.0 * math.sin((hi - lo) / 2.0) ** 2 + (smax * sub) ** 2)
+    return min(bound, 2.0)
+
+
 def cap_area_mp(d, theta, dps=30):
     """int_0^theta sin^(d-1) / int_0^pi sin^(d-1) by mpmath quadrature at dps
     digits, theta a float taken as exact."""

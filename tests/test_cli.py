@@ -306,6 +306,19 @@ def test_verify_malformed_point_file_is_a_data_error(text, tmp_path, capsys):
     assert "data error" in err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("square.json", '{"d": 1, "N": 4, "points": [[1, 0], [0, 1], [-1, 0], [0, "-1"]]}'),
+    ("square.json", '{"d": 1, "N": 4, "points": [[1, 0], [0, true], [-1, 0], [0, -1]]}'),
+    ("square.csv", "1,0\n0,1\n-1,0\n0,-0_1\n"),
+], ids=["json-string", "json-bool", "csv-digit-group"])
+def test_verify_coordinates_must_be_numbers(name, text, tmp_path, capsys):
+    # read as numbers, each file is the square, a 3-design
+    path = tmp_path / name
+    path.write_text(text)
+    err = _verify_rejected(["verify", str(path), "-n", "3"], capsys, cli.EXIT_DATA)
+    assert "data error" in err
+
+
 def test_verify_mz_partition_with_another_region_count_is_a_data_error(tmp_path, capsys):
     # the sampling inequality is about one point per region of that partition
     points = _write_json(tmp_path / "poly12.json", _polygon(12))

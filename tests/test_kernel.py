@@ -450,6 +450,12 @@ def test_gradient_from_the_energy_fields_is_bitwise_the_same():
         E, F = _energy_raw(spec, X, fields=True)
         assert E == _energy_raw(spec, X)
         assert np.array_equal(_gradient_raw(spec, X, F), _gradient_raw(spec, X)), d
+        # and, where they are kept, the terms that call left in the buffer
+        terms = kernel._term_buffer(spec, 23)
+        assert terms is not None
+        E_kept, F_kept = _energy_raw(spec, X, fields=True, terms=terms)
+        assert E_kept == E and np.array_equal(F_kept, F), d
+        assert np.array_equal(_gradient_raw(spec, X, F_kept, terms), _gradient_raw(spec, X)), d
 
 
 @pytest.mark.parametrize("d, n, N", [(1, 9, 41), (2, 6, 50), (3, 4, 37)])
@@ -488,15 +494,93 @@ def _one_and_several_node_blocks(d, n, N, monkeypatch):
     yield
 
 
+def _both_gradient_routes(spec, N, monkeypatch):
+    """Yield thrice: on the kept-term route, with every rule node in one
+    block and room for the terms; then on the Clenshaw route, in one block
+    and with 3 nodes a block."""
+    M = energy_rule_size(spec.d, spec.n)
+    monkeypatch.setattr(kernel, "_BLOCK_DOUBLES", N * M)
+    monkeypatch.setattr(kernel, "_TERM_DOUBLES", spec.n * N * M)
+    assert kernel._term_buffer(spec, N) is not None
+    yield
+    # a budget below zero refuses even n = 1, which keeps no term
+    monkeypatch.setattr(kernel, "_TERM_DOUBLES", -1)
+    for _ in _one_and_several_node_blocks(spec.d, spec.n, N, monkeypatch):
+        assert kernel._term_buffer(spec, N) is None
+        yield
+
+
 @pytest.mark.parametrize("d, n", FIELD_CASES)
 def test_clenshaw_gradient_matches_the_forward_recurrence(d, n, monkeypatch):
     spec = make_kernel(d, n)
     X = _random_rows(spec, 29, d + n)
-    for _ in _one_and_several_node_blocks(d, n, 29, monkeypatch):
+    for _ in _both_gradient_routes(spec, 29, monkeypatch):
         F = _fields(spec, X)
         G = _gradient_raw(spec, X, F)
         ref = gradient_forward(spec, X, F)
         assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref)), (d, n)
+
+
+@pytest.mark.parametrize("N", [476, 477])
+def test_gradient_routes_agree_at_the_term_budget(N, monkeypatch):
+    # at d = 2, n = 12 (M = 50 nodes, one block up to N = 1310) the 11 kept
+    # terms fill the budget of 2^18 doubles at N = 476 and overflow it at 477
+    spec = make_kernel(2, 12)
+    assert energy_rule_size(2, 12) == 50 and 11 * 476 * 50 <= 1 << 18 < 11 * 477 * 50
+    X = _random_rows(spec, N, 12)
+    terms = kernel._term_buffer(spec, N)
+    assert (terms is not None) == (N == 476)
+    E, F = _energy_raw(spec, X, fields=True, terms=terms)
+    G = _gradient_raw(spec, X, F, terms)
+    # the other route at the same rows, its budget moved across N
+    monkeypatch.setattr(kernel, "_TERM_DOUBLES", 1 << 19 if N == 477 else -1)
+    other = kernel._term_buffer(spec, N)
+    assert (other is None) == (terms is not None)
+    E_other, F_other = _energy_raw(spec, X, fields=True, terms=other)
+    assert E_other == E == _energy_raw(spec, X) and np.array_equal(F_other, F)
+    G_other = _gradient_raw(spec, X, F_other, other)
+    assert np.max(np.abs(G - G_other)) <= 1e-13 * np.max(np.abs(G))
+
+
+def _gegenbauer_mp(alpha, n, x):
+    """P_0(x), ..., P_n(x), normalized to P_k(1) = 1, at 40 digits: T_k by its
+    recurrence at alpha = 0, else C_k^alpha by the classical
+    k C_k = 2 (k + alpha - 1) x C_{k-1} - (k + 2 alpha - 2) C_{k-2}, over
+    C_k(1) = (2 alpha)_k / k!."""
+    with mpmath.workdps(40):
+        x, a = mpmath.mpf(x), mpmath.mpf(alpha)
+        if alpha == 0:
+            P = [mpmath.mpf(1), x]
+            while len(P) <= n:
+                P.append(2 * x * P[-1] - P[-2])
+            return P[:n + 1]
+        C = [mpmath.mpf(1), 2 * a * x]
+        for k in range(2, n + 1):
+            C.append((2 * (k + a - 1) * x * C[-1] - (k + 2 * a - 2) * C[-2]) / k)
+        return [c / mpmath.rf(2 * a, k) * mpmath.factorial(k) for k, c in enumerate(C[:n + 1])]
+
+
+def test_shift_map_is_the_index_shift():
+    # P_{k-1}^{alpha+1} = sum_j Lambda[j, k-1] P_j^alpha for k <= 40, on a
+    # grid crowded at +-1.  The reference is 40-digit: scipy's eval_gegenbauer
+    # is itself up to 1e-13 off there at these degrees.
+    near = 1.0 - np.logspace(-16, -1, 16)
+    t = np.concatenate([-near, np.linspace(-1.0, 1.0, 21), near])
+    for d in range(1, 7):
+        alpha = (d - 1) / 2.0
+        shift = kernel._shift_map(d, 40)
+        assert np.all(shift >= 0.0) and np.all(np.abs(shift.sum(axis=0) - 1.0) <= 1e-15), d
+        j, column = np.indices(shift.shape)
+        assert np.array_equal(shift > 0.0, (j <= column) & ((column - j) % 2 == 0)), d
+        low = np.array([[float(v) for v in _gegenbauer_mp(alpha, 39, x)] for x in t]).T
+        high = np.array([[float(v) for v in _gegenbauer_mp(alpha + 1.0, 39, x)] for x in t]).T
+        assert np.max(np.abs(shift.T @ low - high)) <= 1e-15, d
+        # the prefix of a larger map, like the energy rule's
+        assert np.array_equal(kernel._shift_map(d, 12), shift[:12, :12]), d
+    # on the circle U_{k-1} = (2 / k) (T_{k-1} + T_{k-3} + ...), halved at T_0
+    circle = kernel._shift_map(1, 6)
+    assert circle[:, 5].tolist() == [0.0, 1 / 3, 0.0, 1 / 3, 0.0, 1 / 3]
+    assert circle[:, 4].tolist() == [0.2, 0.0, 0.4, 0.0, 0.4, 0.0]
 
 
 @pytest.mark.parametrize("d, n", FIELD_CASES)

@@ -225,9 +225,9 @@ def test_solve_auto_step_seed_value(monkeypatch):
     trials = []
     energy_raw = solver._energy_raw
 
-    def recorded_energy(spec, Y, fields=False):
+    def recorded_energy(spec, Y, fields=False, terms=None):
         trials.append(np.array(Y))
-        return energy_raw(spec, Y, fields=fields)
+        return energy_raw(spec, Y, fields=fields, terms=terms)
 
     monkeypatch.setattr(solver, "_energy_raw", recorded_energy)
     _, report = solve(spec, config)
@@ -285,18 +285,18 @@ def test_solve_makes_one_field_pass_per_energy_call(monkeypatch):
     calls = {"fields": 0, "energy": 0, "gradient": 0}
     fields, energy_raw, gradient_raw = kernel._fields, solver._energy_raw, solver._gradient_raw
 
-    def counted_fields(spec, X):
+    def counted_fields(spec, X, terms=None):
         calls["fields"] += 1
-        return fields(spec, X)
+        return fields(spec, X, terms)
 
     def counted_energy(*args, **kwargs):
         calls["energy"] += 1
         return energy_raw(*args, **kwargs)
 
-    def checked_gradient(spec, X, F=None):
+    def checked_gradient(spec, X, F=None, terms=None):
         calls["gradient"] += 1
         assert F is not None and np.array_equal(F, fields(spec, X))
-        return gradient_raw(spec, X, F)
+        return gradient_raw(spec, X, F, terms)
 
     monkeypatch.setattr(kernel, "_fields", counted_fields)
     monkeypatch.setattr(solver, "_energy_raw", counted_energy)
@@ -334,13 +334,13 @@ def test_solve_failed_line_search_restarts_from_steepest_descent(monkeypatch):
     trials = []
     gradients = []
 
-    def counted_gradient(spec, X, F=None):
+    def counted_gradient(spec, X, F=None, terms=None):
         gradients.append(np.array(X))
-        return gradient_raw(spec, X, F)
+        return gradient_raw(spec, X, F, terms)
 
-    def energy_that_stops_decreasing(spec, Y, fields=False):
+    def energy_that_stops_decreasing(spec, Y, fields=False, terms=None):
         trials.append(np.array(Y))
-        E, F = energy_raw(spec, Y, fields=True)
+        E, F = energy_raw(spec, Y, fields=True, terms=terms)
         if len(trials) > 5:
             E += 1.0
         return (E, F) if fields else E

@@ -15,7 +15,7 @@ from designforge.sphere import (
     sphere_surface_area,
     tangent_rows,
 )
-from oracles import cap_area_mp, region_contains, sample_by_region
+from oracles import cap_area_mp, diameter_bound, region_contains, sample_by_region
 
 
 def _uniform_points(d, count, rng):
@@ -46,6 +46,16 @@ def test_tangent_rows_purely_radial_gives_zero():
 def test_tangent_rows_keeps_tangential():
     out = tangent_rows(np.array([[1.0, 0, 0]]), np.array([[0.0, 2.0, 3.0]]))
     assert np.allclose(out, [[0.0, 2.0, 3.0]])
+
+
+def test_tangent_rows_projects_a_stack_as_each_array_alone():
+    # the solver carries its L-BFGS memory to a new point in one call
+    rng = np.random.default_rng(5)
+    X = _uniform_points(2, 30, rng)
+    stack = rng.standard_normal((4, 2, 30, 3))
+    out = tangent_rows(X, stack)
+    for i, j in np.ndindex(4, 2):
+        assert np.array_equal(out[i, j], tangent_rows(X, stack[i, j]))
 
 
 def test_tangent_rows_idempotent():
@@ -267,6 +277,14 @@ def test_eq_partition_area_invariants(d, N):
     assert p.N == N
     assert np.max(np.abs(p.areas * N - 1.0)) <= 1e-10
     assert abs(p.areas.sum() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_region_diameters_match_the_recursive_bound(d):
+    for N in [*range(1, 80), 338, 1000]:
+        p = eq_partition(d, N)
+        ref = np.array([diameter_bound(b, d) for b in p.bounds])
+        assert np.all(np.abs(p.region_diameters - ref) <= 2 * np.spacing(ref)), (d, N)
 
 
 def test_partition_norm_hemispheres():
