@@ -124,17 +124,13 @@ def _emit(doc):
 
 # -- point-set files ----
 
-def write_pointset(path, d, N, points, n=None, metadata=None):
+def write_pointset(path, d, N, points, n, metadata):
     if str(path).endswith(".csv"):
         rows = [",".join(_fmt_float(float(v)) for v in row) for row in points]
         _write_text(path, "\n".join(rows) + "\n")
         return
-    doc = {"d": d}
-    if n is not None:
-        doc["n"] = n
-    doc["N"] = N
-    doc["points"] = [[float(v) for v in row] for row in points]
-    doc["metadata"] = metadata or {}
+    doc = {"d": d, "n": n, "N": N, "points": [[float(v) for v in row] for row in points],
+           "metadata": metadata}
     _write_text(path, _json_text(doc) + "\n")
 
 
@@ -361,10 +357,7 @@ def cmd_generate(args, parser):
     final = report = None
     chosen_N = None
     for N in candidates:
-        partition = eq_partition(args.d, N)
-        config, bound = initial_configuration(
-            spec, N, mode=args.init_mode, seed=args.seed, partition=partition
-        )
+        config, bound = initial_configuration(spec, N, mode=args.init_mode, seed=args.seed)
         final, report = solve(spec, config, opts, initial_bound=bound)
         chosen_N = N
         if report.terminated == "converged":

@@ -209,14 +209,14 @@ def _energy_rule(d, n):
     One rule is kept per d, at the largest n asked for so far; a smaller n
     is served its prefix (Z[:M], B_1..B_n).  The seeded draw of M nodes is
     a prefix of any larger draw and every entry of G is formed on its own,
-    so that prefix is bitwise the rule built for n alone.
+    so that prefix is bitwise the rule built for n alone.  B_n has M rows,
+    so a cached rule serves n without recomputing M.
     """
-    size = energy_rule_size(d, n)
     rule = _RULES.get(d)
     if rule is None or len(rule[1]) < n:
         rule = _RULES[d] = _build_energy_rule(d, n)
     Z, maps = rule
-    return Z[:size], maps[:n]
+    return Z[:maps[n - 1].shape[0]], maps[:n]
 
 
 def _build_energy_rule(d, n):

@@ -26,7 +26,7 @@ Numer. Math. 2011.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,14 +81,7 @@ class SolveReport:
     initial_bound: float = None
 
     def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "energy_trace": list(self.energy_trace),
-            "step_trace": list(self.step_trace),
-            "final_residual": self.final_residual,
-            "terminated": self.terminated,
-            "initial_bound": self.initial_bound,
-        }
+        return asdict(self)
 
 
 def initial_energy_bound(spec, partition):
@@ -103,18 +96,14 @@ def initial_energy_bound(spec, partition):
     return spec.gp1 * partition.norm**2 / partition.N
 
 
-def initial_configuration(spec, N, mode="centers", seed=0, partition=None):
+def initial_configuration(spec, N, mode="centers", seed=0):
     """Area-regular starting configuration plus its predicted energy bound.
 
     mode "centers" places one point at each region center; mode
     "random-in-region" samples each region uniformly (seeded).
-    Returns (Configuration, predicted_bound); pass a prebuilt partition to
-    avoid constructing it twice.
+    Returns (Configuration, predicted_bound).
     """
-    if partition is None:
-        partition = eq_partition(spec.d, N)
-    if partition.d != spec.d or partition.N != N:
-        raise ValueError("partition does not match requested (d, N)")
+    partition = eq_partition(spec.d, N)
     if mode == "centers":
         X = np.array(partition.centers, dtype=float)
     elif mode == "random-in-region":

@@ -263,23 +263,28 @@ def sphere_quadrature_grid(d, min_nodes=1_000_000, min_longitudes=1):
 
 # -- partitions ----
 
-def _center_coords(levels, m):
-    if not levels:
-        out = np.zeros(m + 1)
-        out[m] = 1.0
-        return out
-    lo, hi = levels[0]
-    if m == 1:
-        phi = 0.5 * (lo + hi)
-        return np.array([math.cos(phi), math.sin(phi)])
-    if lo == 0.0:
-        theta = 0.0
-    elif hi >= math.pi:
-        theta = math.pi
-    else:
-        theta = 0.5 * (lo + hi)
-    sub = _center_coords(levels[1:], m - 1)
-    return np.concatenate([math.sin(theta) * sub, [math.cos(theta)]])
+def _embed(d, depth, angle, tail):
+    """Points of S^d from nested angles, one row per region: (N, d+1).
+
+    Row r has depth[r] levels, angle[r, j] the angle of level j, outermost
+    first: a colatitude on S^(d-j), or on the circle level j = d - 1 a
+    longitude.  A row whose levels stop above the circle goes on with the
+    unit vector tail[r, :d - depth[r] + 1] of its cross-section sphere.  The
+    rows of one depth are embedded together, innermost level first.
+    """
+    X = np.empty((depth.size, d + 1))
+    for levels in np.unique(depth):
+        rows = np.flatnonzero(depth == levels)
+        if levels == d:
+            phi = angle[rows, d - 1]
+            Y = np.column_stack([np.cos(phi), np.sin(phi)])
+        else:
+            Y = tail[rows, :d - levels + 1]
+        for j in range(min(levels, d - 1) - 1, -1, -1):
+            theta = angle[rows, j]
+            Y = np.column_stack([np.sin(theta)[:, None] * Y, np.cos(theta)])
+        X[rows] = Y
+    return X
 
 
 @dataclass(frozen=True)
@@ -303,7 +308,20 @@ class Partition:
 
     @functools.cached_property
     def centers(self):
-        return np.stack([_center_coords(b, self.d) for b in self.bounds])
+        """Each region's center: the midpoint of each level, except that a
+        colatitude level reaching a pole takes the pole, 0 or pi, and a
+        region whose levels stop above the circle goes on with the pole of
+        its cross-section."""
+        d, N = self.d, self.N
+        depth, lo, hi = self._angles
+        angle = 0.5 * (lo + hi)
+        for j in range(d - 1):
+            rows = depth > j
+            mid, a, b = angle[rows, j], lo[rows, j], hi[rows, j]
+            angle[rows, j] = np.where(a == 0.0, 0.0, np.where(b >= math.pi, math.pi, mid))
+        tail = np.zeros((N, d + 1))
+        tail[np.arange(N), d - depth] = 1.0
+        return _embed(d, depth, angle, tail)
 
     @functools.cached_property
     def region_diameters(self):
@@ -394,11 +412,11 @@ class Partition:
         d, N = self.d, self.N
         depth, lo, hi = self._levels
         stops = np.cumsum(depth).tolist()
-        draws, tails, drawn = [], {}, 0
+        draws, tail, drawn = [], np.zeros((N, d + 1)), 0
         for r in np.flatnonzero(depth < d).tolist():
             draws.append(rng.random(stops[r] - drawn))
             drawn = stops[r]
-            tails[r] = _random_unit(d - depth[r], rng)
+            tail[r, :d - depth[r] + 1] = _random_unit(d - depth[r], rng)
         draws.append(rng.random(stops[-1] - drawn))
         u = np.zeros((N, d))
         u[np.arange(d) < depth[:, None]] = np.concatenate(draws)
@@ -406,19 +424,7 @@ class Partition:
         for j in range(d - 1):
             rows = depth > j
             angle[rows, j] = cap_colatitude(d - j, angle[rows, j])
-        X = np.empty((N, d + 1))
-        for levels in np.unique(depth):
-            rows = np.flatnonzero(depth == levels)
-            if levels == d:
-                phi = angle[rows, d - 1]
-                Y = np.column_stack([np.cos(phi), np.sin(phi)])
-            else:
-                Y = np.array([tails[r] for r in rows])
-            for j in range(min(levels, d - 1) - 1, -1, -1):
-                theta = angle[rows, j]
-                Y = np.column_stack([np.sin(theta)[:, None] * Y, np.cos(theta)])
-            X[rows] = Y
-        return X
+        return _embed(d, depth, angle, tail)
 
     def to_dict(self):
         return {
@@ -487,8 +493,6 @@ def _eq_regions(d, counts):
         elif d == 1:
             edges = [TWO_PI * j / N for j in range(N)] + [TWO_PI]
             regions[N] = tuple(zip(zip(edges, edges[1:])))
-        elif N == 2:
-            regions[N] = (((0.0, 0.5 * math.pi),), ((0.5 * math.pi, math.pi),))
     big = sorted(set(counts) - regions.keys())
     if not big:
         return regions

@@ -63,6 +63,10 @@ MAX_MONOMIAL_DEGREE = 12
 MAX_MZ_DIM = 3
 # node floor of the MZ check's coarse grid, and so of its fine grid
 _MIN_GRID_NODES = 4096
+# MZ trial polynomials: zonal kernels at this many random centers, and
+# mixtures of at most this many monomials
+_SPAN_CENTERS = 8
+_MIXTURE_TERMS = 10
 
 
 def monomial_sphere_integral(exponents):
@@ -433,10 +437,10 @@ def mz_check(points, m, trials=100, seed=0, min_nodes=1_000_000):
                     passed=bool(np.all(np.isfinite(ratios))) and 0.5 < lo and hi < 1.5)
 
 
-def _random_kernel_span(spec_m, d, rng, centers=8):
-    Z = rng.standard_normal((centers, d + 1))
+def _random_kernel_span(spec_m, d, rng):
+    Z = rng.standard_normal((_SPAN_CENTERS, d + 1))
     Z /= np.linalg.norm(Z, axis=1)[:, None]
-    c = rng.standard_normal(centers)
+    c = rng.standard_normal(_SPAN_CENTERS)
     c /= np.linalg.norm(c)
 
     def evaluate(Y):
@@ -446,8 +450,9 @@ def _random_kernel_span(spec_m, d, rng, centers=8):
     return evaluate
 
 
-def _random_monomial_mixture(exponent_pool, d, rng, terms=10):
-    idx = rng.choice(len(exponent_pool), size=min(terms, len(exponent_pool)), replace=False)
+def _random_monomial_mixture(exponent_pool, d, rng):
+    size = min(_MIXTURE_TERMS, len(exponent_pool))
+    idx = rng.choice(len(exponent_pool), size=size, replace=False)
     chosen = [exponent_pool[i] for i in idx]
     c = rng.standard_normal(len(chosen))
     c /= np.linalg.norm(c)

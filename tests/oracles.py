@@ -97,6 +97,29 @@ def _sample_region(levels, m, rng):
     return np.concatenate([math.sin(theta) * sub, [math.cos(theta)]])
 
 
+def center_by_region(levels, m):
+    """The center of `Partition.centers` for one region's levels on S^m, by
+    recursion over its levels, outermost first: each level's midpoint, a
+    colatitude level reaching a pole at the pole, and the cross-section's
+    pole below the last level."""
+    if not levels:
+        out = np.zeros(m + 1)
+        out[m] = 1.0
+        return out
+    lo, hi = levels[0]
+    if m == 1:
+        phi = 0.5 * (lo + hi)
+        return np.array([math.cos(phi), math.sin(phi)])
+    if lo == 0.0:
+        theta = 0.0
+    elif hi >= math.pi:
+        theta = math.pi
+    else:
+        theta = 0.5 * (lo + hi)
+    sub = center_by_region(levels[1:], m - 1)
+    return np.concatenate([math.sin(theta) * sub, [math.cos(theta)]])
+
+
 def diameter_bound(levels, m):
     """The bound of `Partition.region_diameters` for one region's levels on
     S^m, by recursion over its levels, outermost first."""

@@ -628,6 +628,22 @@ def test_energy_rule_is_built_once_per_sphere_as_n_grows(monkeypatch):
     assert built[3:] == [(2, 6)]
 
 
+def test_energy_rule_cache_hit_computes_no_harmonic_dimension(monkeypatch):
+    # a hit reads M off the cached B_n; only a build sizes the rule
+    calls = []
+
+    def counted(d, k):
+        calls.append((d, k))
+        return harmonic_dim(d, k)
+
+    _energy_rule(2, 5)
+    monkeypatch.setattr(kernel, "harmonic_dim", counted)
+    for n in (5, 3, 1):
+        Z, maps = _energy_rule(2, n)
+        assert Z.shape == (2 * harmonic_dim(2, n), 3) and len(maps) == n
+    assert calls == []
+
+
 def test_e8_roots_have_zero_energy_on_the_sampled_rule():
     X = e8_roots()
     assert energy_rule_size(7, 5) == 2 * 672

@@ -58,7 +58,7 @@ def test_initial_configuration_random_reproducible():
 def test_initial_configuration_random_starts_stay_in_regions():
     spec = make_kernel(2, 3)
     p = eq_partition(2, 25)
-    config, _ = initial_configuration(spec, 25, mode="random-in-region", seed=3, partition=p)
+    config, _ = initial_configuration(spec, 25, mode="random-in-region", seed=3)
     for i in range(25):
         assert region_contains(p, i, config.coords[i])
 

@@ -15,7 +15,13 @@ from designforge.sphere import (
     sphere_surface_area,
     tangent_rows,
 )
-from oracles import cap_area_mp, diameter_bound, region_contains, sample_by_region
+from oracles import (
+    cap_area_mp,
+    center_by_region,
+    diameter_bound,
+    region_contains,
+    sample_by_region,
+)
 
 
 def _uniform_points(d, count, rng):
@@ -285,6 +291,22 @@ def test_region_diameters_match_the_recursive_bound(d):
         p = eq_partition(d, N)
         ref = np.array([diameter_bound(b, d) for b in p.bounds])
         assert np.all(np.abs(p.region_diameters - ref) <= 2 * np.spacing(ref)), (d, N)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_region_centers_match_the_recursive_centers(d):
+    for N in [*range(1, 80), 338, 1000]:
+        p = eq_partition(d, N)
+        ref = np.stack([center_by_region(b, d) for b in p.bounds])
+        assert np.array_equal(p.centers, ref), (d, N)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_two_regions_are_the_hemispheres(d):
+    # the general construction: polar caps of half the area, no collar
+    p = eq_partition(d, 2)
+    assert p.bounds == (((0.0, 0.5 * math.pi),), ((0.5 * math.pi, math.pi),))
+    assert np.array_equal(p.areas, [0.5, 0.5])
 
 
 def test_partition_norm_hemispheres():
