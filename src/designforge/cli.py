@@ -136,9 +136,9 @@ def write_pointset(path, d, N, points, n, metadata):
 
 def read_pointset(path):
     """Load a point-set file (JSON or CSV); returns (d, n_or_None, points)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     if str(path).endswith(".csv"):
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         points = []
         for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
@@ -162,10 +162,7 @@ def read_pointset(path):
         d = X.shape[1] - 1
         n = None
     else:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})")
+        doc = _read_json(path)
         if not isinstance(doc, dict):
             raise DataFormatError(f"{path}: top level is not a JSON object")
         for key in ("d", "N", "points"):

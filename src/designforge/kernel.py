@@ -29,14 +29,17 @@ At 2^18 doubles a block does not fit, and one energy call at d = 3, n = 11,
 N = 960 took twice as long (15 ms against 7.6 ms on a 2-vCPU Xeon with
 2 MiB of L2 per core).
 
-Small solves keep the field pass's terms instead.  When all M nodes fit one
-block and P_1..P_{n-1} fit _TERM_DOUBLES = 2^18 doubles (2 MiB), the energy
-call writes every P_k into a term buffer of n + 1 (N, M) arrays, which
-`solve` allocates once and hands to each call (`_term_buffer`), and the
-gradient at that point is a BLAS contraction of those terms through the
-exact index-shift map of `_shift_map`: no second pass over <x_i, z_a>, no
-Clenshaw sum.  Past that budget the gradient runs its own Clenshaw pass as
-above.
+The energy call keeps the residual r_k = B_k^T F_k (`_residual_raw`), the
+weighted moments of the point set in an orthonormal basis of each H_k, whose
+squared norms are the E_k; `solve` hands r, not the fields, to the gradient
+at an accepted point.  Small solves also keep the field pass's terms.  When
+all M nodes fit one block and P_1..P_{n-1} fit _TERM_DOUBLES = 2^18 doubles
+(2 MiB), the energy call writes every P_k into a term buffer of n + 1 (N, M)
+arrays, which `solve` allocates once and hands to each call
+(`_term_buffer`), and the gradient at that point is a BLAS contraction of
+those terms through the exact index-shift map of `_shift_map`: no second
+pass over <x_i, z_a>, no Clenshaw sum.  Past that budget the gradient runs
+its own Clenshaw pass as above.
 """
 
 import functools
@@ -77,12 +80,13 @@ class KernelSpec:
     with series[0]_k = dim_k / w_k, series[1]_k = dim_k / d and
     series[2]_k = dim_k (k-1)(k+d) / (d(d+2)).  Since P_j(1) = 1, the
     boundary constants g1 = g(1), gp1 = g'(1) and gpp1 = g''(1) are the
-    exact rational sums of those series, each rounded once to float64.
-    Raises ValueError when a stored constant, or 3 g''(1) + g'(1) under
-    `hessian_step_bound`, does not fit a float64.
+    exact rational sums of those series, each rounded once to float64, and
+    curvature = 3 g''(1) + g'(1) is the constant of `hessian_step_bound` and
+    of the solver's steepest-descent step.  Raises ValueError when a stored
+    constant does not fit a float64.
     """
 
-    __slots__ = ("d", "n", "alpha", "weights", "dims", "series", "g1", "gp1", "gpp1")
+    __slots__ = ("d", "n", "alpha", "weights", "dims", "series", "g1", "gp1", "gpp1", "curvature")
 
     def __init__(self, d, n):
         if d < 1:
@@ -109,7 +113,8 @@ class KernelSpec:
             self.g1, self.gp1, self.gpp1 = (
                 float(sum(Fraction(p, q) for p, q in row)) for row in ratios
             )
-            finite = math.isfinite(3.0 * self.gpp1 + self.gp1)
+            self.curvature = 3.0 * self.gpp1 + self.gp1
+            finite = math.isfinite(self.curvature)
         except OverflowError:
             finite = False
         if not finite:
@@ -151,7 +156,7 @@ def hessian_step_bound(spec):
     Bounds the spherical Hessian norm of any unit-norm polynomial in the
     kernel space; the solver seeds its step size from it.
     """
-    return math.sqrt(3.0 * spec.gpp1 + spec.gp1)
+    return math.sqrt(spec.curvature)
 
 
 class Configuration:
@@ -286,36 +291,36 @@ def _fields(spec, X, terms=None):
     return F
 
 
-def _degree_energies(spec, F):
-    """Per-degree energies E_1..E_n of the fields F = `_fields`(spec, X),
-    as sums of squares.
+def _residual_raw(spec, F):
+    """The residual r_k = B_k^T F_k, k = 1..n, of the fields
+    F = `_fields`(spec, X): a list of n arrays, r_k of length dim H_k.
 
     E_k = (1/N^2) sum_ij dim_k / w_k P_k(<x_i, x_j>) is the degree-k part
     of the Gram sum.  With h_k = sqrt(dim_k / w_k) P_k and
     F_k = (1/N) sum_i h_k(<x_i, .>), the zonal-span rule of `_energy_rule`
-    gives P_k(<x, x'>) = p_x^T B_k B_k^T p_x', so E_k = |B_k^T F_k|^2, read
-    off F_k at the rule's nodes.
+    gives P_k(<x, x'>) = p_x^T B_k B_k^T p_x', so E_k = |r_k|^2, read off
+    F_k at the rule's nodes.  By the addition theorem the entries of
+    psi(x) = sqrt(dim_k) B_k^T p_x are an orthonormal basis of H_k under the
+    normalized surface measure, so r_k = w_k^(-1/2) (1/N) sum_i psi(x_i):
+    the point set's moments in that basis, weighted.
     """
     _, maps = _energy_rule(spec.d, spec.n)
-    out = np.empty(spec.n)
-    for k, B in enumerate(maps):
-        v = B.T @ F[k, :B.shape[0]]
-        out[k] = v @ v
-    return out
+    return [B.T @ F[k, :B.shape[0]] for k, B in enumerate(maps)]
 
 
 def _energy_raw(spec, X, fields=False, terms=None):
     """Design energy |Phi|^2 of the rows of X: the sum of the per-degree
-    energies, with no clamping.
+    energies |r_k|^2 of `_residual_raw`, with no clamping.
 
-    With fields=True, returns (E, F) so that the solver can hand the fields
-    of an accepted point to `_gradient_raw` instead of computing them again.
-    terms, when given, is `_term_buffer`(spec, N), which the field pass
-    fills for that gradient; E and F are bitwise the same either way.
+    With fields=True, returns (E, r) so that the solver can hand the
+    residual of an accepted point to `_gradient_raw` instead of computing
+    it again.  terms, when given, is `_term_buffer`(spec, N), which the
+    field pass fills for that gradient; E and r are bitwise the same either
+    way.
     """
-    F = _fields(spec, X, terms)
-    E = float(np.sum(_degree_energies(spec, F)))
-    return (E, F) if fields else E
+    r = _residual_raw(spec, _fields(spec, X, terms))
+    E = float(np.sum([v @ v for v in r]))
+    return (E, r) if fields else E
 
 
 # perfbench/tracing.py wraps this name; an alias of the one energy, never called
@@ -347,12 +352,12 @@ def _shift_map(d, n):
     return shift
 
 
-def _gradient_raw(spec, X, F=None, terms=None):
+def _gradient_raw(spec, X, r=None, terms=None):
     """Spherical gradient rows of the energy, d E / d x_i, shape (N, d+1).
 
-    The tangent part of sum_k V_k^T dF_k / dx_i on the rule and fields of
-    `_degree_energies`, with V_k = 2 c_k B_k B_k^T F_k, where by the index
-    shift dF_k(z_a) / dx_i = c_k P_{k-1}^{alpha+1}(<x_i, z_a>) z_a and
+    The tangent part of sum_k V_k^T dF_k / dx_i on the rule and residual of
+    `_residual_raw`, with V_k = 2 c_k B_k r_k, where by the index shift
+    dF_k(z_a) / dx_i = c_k P_{k-1}^{alpha+1}(<x_i, z_a>) z_a and
     c_k = sqrt(dim_k / w_k) (w_k / d) / N = sqrt(dim_k w_k) / (d N).
 
     Where `_term_buffer` keeps the terms, the map Lambda of `_shift_map`
@@ -361,22 +366,19 @@ def _gradient_raw(spec, X, F=None, terms=None):
     one BLAS product per kept term.  Otherwise the sum over k is one
     Clenshaw sum (`gegenbauer_series`) per node block.
 
-    F, when given, must be the fields of these same rows, as
-    `_energy_raw(..., fields=True)` returns them, and terms, when given,
-    the buffer that call filled; the result is then bitwise the same.
+    r, when given, must be the residual of these same rows, as
+    `_energy_raw(..., fields=True)` returns it, and terms, when given, the
+    buffer that call filled; the result is then bitwise the same.
     """
     Z, maps = _energy_rule(spec.d, spec.n)
     N = X.shape[0]
-    if terms is None and (terms := _term_buffer(spec, N)) is not None:
-        # the pass that fills the terms gives bitwise any F passed in
-        F = _fields(spec, X, terms)
-    elif F is None:
-        F = _fields(spec, X)
+    # the pass that fills a new term buffer gives bitwise any r passed in
+    if (terms is None and (terms := _term_buffer(spec, N)) is not None) or r is None:
+        r = _residual_raw(spec, _fields(spec, X, terms))
     c = np.sqrt(spec.dims * spec.weights) / (spec.d * N)
-    V = np.zeros_like(F)
-    for k, B in enumerate(maps):
-        m = B.shape[0]
-        V[k, :m] = 2.0 * c[k] * (B @ (B.T @ F[k, :m]))
+    V = np.zeros((spec.n, Z.shape[0]))
+    for k, (B, r_k) in enumerate(zip(maps, r)):
+        V[k, :B.shape[0]] = 2.0 * c[k] * (B @ r_k)
     if terms is not None:
         # Y[j] = W_j z_a row by row; P_0 = 1 leaves W_0's row sums
         Y = (_shift_map(spec.d, spec.n) @ V)[:, :, None] * Z

@@ -143,18 +143,18 @@ def solve(spec, init, opts=None, initial_bound=None):
     N = X.shape[0]
     tol2 = opts.tolerance**2
 
-    # every energy call keeps its fields F, and its terms where the kernel
+    # every energy call keeps its residual r, and its terms where the kernel
     # keeps them, so the gradient at the accepted point reuses them: one
     # field pass per trial point.  The terms live in one buffer, which each
     # trial overwrites after the gradient it serves has been taken.
     terms = _term_buffer(spec, N)
-    E, F = _energy_raw(spec, X, fields=True, terms=terms)
+    E, r = _energy_raw(spec, X, fields=True, terms=terms)
     if not np.isfinite(E):
         raise ArithmeticError("numerical blowup: non-finite energy")
 
     # steepest descent moves along the velocities -(N/2) G at the
     # curvature-certificate step, so its direction is `steepest` times G
-    steepest = -(N / 2.0) / (3.0 * spec.gpp1 + spec.gp1)
+    steepest = -(N / 2.0) / spec.curvature
 
     energy_trace = [E]
     step_trace = []
@@ -175,7 +175,7 @@ def solve(spec, init, opts=None, initial_bound=None):
             break
 
         if G is None:  # a retry after a failed search keeps the gradient
-            G = _gradient_raw(spec, X, F, terms)
+            G = _gradient_raw(spec, X, r, terms)
         if not np.any(G):
             terminated = "stalled"
             break
@@ -203,7 +203,7 @@ def solve(spec, init, opts=None, initial_bound=None):
         t = 1.0
         for _bt in range(_MAX_BACKTRACKS):
             Xt = _geodesic_rows(X, P, t)
-            Et, Ft = _energy_raw(spec, Xt, fields=True, terms=terms)
+            Et, rt = _energy_raw(spec, Xt, fields=True, terms=terms)
             if not np.isfinite(Et):
                 raise ArithmeticError("numerical blowup: non-finite energy")
             if Et <= E + _ARMIJO * t * deriv:
@@ -221,7 +221,7 @@ def solve(spec, init, opts=None, initial_bound=None):
 
         stack[0] = t * P, G
         moved = True
-        X, F, G = Xt, Ft, None
+        X, r, G = Xt, rt, None
         iterations += 1
         previous = E
         E = Et

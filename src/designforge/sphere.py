@@ -529,19 +529,14 @@ def _split(values, parts):
 def _collar_counts(N, fractions):
     """Region counts of the collars that start at the cap-area fractions
     (the polar cap's edge first): ideal counts rounded with a running
-    remainder, the last collar taking what makes the sum N - 2."""
+    remainder.  That keeps each partial sum of the counts within 1/2 of its
+    ideal, and the ideals sum to N (1 - 1/N - F(theta_c)) = N - 2 up to
+    rounding, so the counts are >= 0 and sum to N - 2."""
     fractions.append(1.0 - 1.0 / N)
     counts = []
     remainder = 0.0
     for prev_v, v in zip(fractions, fractions[1:]):
         ideal = N * (v - prev_v) + remainder
-        m_i = max(0, round(ideal))
-        remainder = ideal - m_i
-        counts.append(m_i)
-    counts[-1] += (N - 2) - sum(counts)
-    if counts[-1] < 0:
-        # push the deficit into the largest collar
-        deficit = counts[-1]
-        counts[-1] = 0
-        counts[int(np.argmax(counts))] += deficit
+        counts.append(round(ideal))
+        remainder = ideal - counts[-1]
     return counts

@@ -37,7 +37,7 @@ Carlo over in-region sampling.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -367,13 +367,9 @@ class MzReport:
     passed: bool
 
     def to_dict(self):
-        return {
-            "degree": self.degree,
-            "trials": self.trials,
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "pass": self.passed,
-        }
+        doc = asdict(self)
+        doc["pass"] = doc.pop("passed")
+        return doc
 
 
 def mz_check(points, m, trials=100, seed=0, min_nodes=1_000_000):

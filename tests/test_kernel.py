@@ -10,12 +10,12 @@ from designforge import kernel
 from designforge.gegenbauer import gegenbauer_at_one_exact, gegenbauer_terms, harmonic_dim
 from designforge.kernel import (
     Configuration,
-    _degree_energies,
     _energy_raw,
     _energy_rule,
     _eval_shifted,
     _fields,
     _gradient_raw,
+    _residual_raw,
     design_residual,
     energy_rule_size,
     gw_d1,
@@ -49,6 +49,15 @@ def _random_rows(spec, N, seed):
     X = rng.standard_normal((N, spec.d + 1))
     X /= np.linalg.norm(X, axis=1)[:, None]
     return X
+
+
+def _degree_energies(spec, X):
+    """E_1..E_n of the rows of X: the squared norms |r_k|^2 of their residual."""
+    return np.array([r_k @ r_k for r_k in _residual_raw(spec, _fields(spec, X))])
+
+
+def _same_residual(r, other):
+    return len(r) == len(other) and all(map(np.array_equal, r, other))
 
 
 def test_make_kernel_d2_n1_constants():
@@ -180,7 +189,7 @@ def test_configuration_rejects_non_finite_and_off_tolerance_rows():
 
 def test_energy_by_degree_tetrahedron():
     s = make_kernel(2, 3)
-    parts = _degree_energies(s, _fields(s, TETRA))
+    parts = _degree_energies(s, TETRA)
     assert abs(parts[0]) <= 1e-14
     assert abs(parts[1]) <= 1e-14
     assert parts[2] == pytest.approx(560.0 / 1728.0, rel=1e-12)
@@ -189,7 +198,7 @@ def test_energy_by_degree_tetrahedron():
 def test_energy_by_degree_antipodal():
     s = make_kernel(2, 2)
     X = np.array([[0.0, 0, 1], [0.0, 0, -1]])
-    parts = _degree_energies(s, _fields(s, X))
+    parts = _degree_energies(s, X)
     assert abs(parts[0]) <= 1e-15
     assert parts[1] == pytest.approx(5.0 / 6.0, rel=1e-12)
 
@@ -199,7 +208,7 @@ def test_energy_by_degree_single_point():
         s = make_kernel(d, n)
         x = np.zeros((1, d + 1))
         x[0, -1] = 1.0
-        parts = _degree_energies(s, _fields(s, x))
+        parts = _degree_energies(s, x)
         alpha = (d - 1) / 2.0
         for k in range(1, n + 1):
             expected = float(kernel_lambda(d, k) * gegenbauer_at_one_exact(d - 1, k))
@@ -213,7 +222,7 @@ def test_energy_by_degree_properties_random():
         n = 2 + seed % 5
         s = make_kernel(d, n)
         X = _random_rows(s, 5 + seed % 20, seed)
-        parts = _degree_energies(s, _fields(s, X))
+        parts = _degree_energies(s, X)
         assert np.all(parts >= -1e-12)
         total = _energy_raw(s, X)
         assert float(parts.sum()) == pytest.approx(total, rel=1e-12, abs=1e-13)
@@ -442,20 +451,33 @@ def test_gradient_memory_is_linear_in_N():
 
 
 def test_gradient_from_the_energy_fields_is_bitwise_the_same():
-    # the solver hands each accepted point's fields from the energy call to
-    # the next gradient instead of computing them again
+    # the solver hands each accepted point's residual from the energy call
+    # to the next gradient instead of computing it again
     for d in range(1, 7):
         spec = make_kernel(d, 4)
         X = _random_rows(spec, 23, d)
-        E, F = _energy_raw(spec, X, fields=True)
+        E, r = _energy_raw(spec, X, fields=True)
         assert E == _energy_raw(spec, X)
-        assert np.array_equal(_gradient_raw(spec, X, F), _gradient_raw(spec, X)), d
+        assert np.array_equal(_gradient_raw(spec, X, r), _gradient_raw(spec, X)), d
         # and, where they are kept, the terms that call left in the buffer
         terms = kernel._term_buffer(spec, 23)
         assert terms is not None
-        E_kept, F_kept = _energy_raw(spec, X, fields=True, terms=terms)
-        assert E_kept == E and np.array_equal(F_kept, F), d
-        assert np.array_equal(_gradient_raw(spec, X, F_kept, terms), _gradient_raw(spec, X)), d
+        E_kept, r_kept = _energy_raw(spec, X, fields=True, terms=terms)
+        assert E_kept == E and _same_residual(r_kept, r), d
+        assert np.array_equal(_gradient_raw(spec, X, r_kept, terms), _gradient_raw(spec, X)), d
+
+
+def test_residual_has_one_coordinate_per_harmonic_and_squares_to_the_energy():
+    for d in range(1, 7):
+        spec = make_kernel(d, 4)
+        X = _random_rows(spec, 23, d)
+        r = _residual_raw(spec, _fields(spec, X))
+        assert [len(r_k) for r_k in r] == [harmonic_dim(d, k) for k in range(1, 5)], d
+        # below 8 degrees numpy's sum is the plain sum in degree order
+        assert sum(r_k @ r_k for r_k in r) == _energy_raw(spec, X), d
+        terms = kernel._term_buffer(spec, 23)
+        assert terms is not None
+        assert _same_residual(_residual_raw(spec, _fields(spec, X, terms)), r), d
 
 
 @pytest.mark.parametrize("d, n, N", [(1, 9, 41), (2, 6, 50), (3, 4, 37)])
@@ -465,11 +487,11 @@ def test_node_blocks_do_not_change_energy_or_gradient(d, n, N, monkeypatch):
     X = _random_rows(spec, N, 5)
     monkeypatch.setattr(kernel, "_BLOCK_DOUBLES", N * M)
     assert len(kernel._node_blocks(N, M)) == 1
-    one = _energy_raw(spec, X), _gradient_raw(spec, X), _degree_energies(spec, _fields(spec, X))
+    one = _energy_raw(spec, X), _gradient_raw(spec, X), _degree_energies(spec, X)
     # 3 nodes a block, with a shorter last block
     monkeypatch.setattr(kernel, "_BLOCK_DOUBLES", 3 * N)
     assert len(kernel._node_blocks(N, M)) > 1 and M % 3 != 0
-    many = _energy_raw(spec, X), _gradient_raw(spec, X), _degree_energies(spec, _fields(spec, X))
+    many = _energy_raw(spec, X), _gradient_raw(spec, X), _degree_energies(spec, X)
     assert many[0] == pytest.approx(one[0], rel=1e-14, abs=0.0)
     assert np.max(np.abs(many[1] - one[1])) <= 1e-14 * np.max(np.abs(one[1]))
     assert np.allclose(many[2], one[2], rtol=1e-14, atol=0.0)
@@ -516,7 +538,7 @@ def test_clenshaw_gradient_matches_the_forward_recurrence(d, n, monkeypatch):
     X = _random_rows(spec, 29, d + n)
     for _ in _both_gradient_routes(spec, 29, monkeypatch):
         F = _fields(spec, X)
-        G = _gradient_raw(spec, X, F)
+        G = _gradient_raw(spec, X, _residual_raw(spec, F))
         ref = gradient_forward(spec, X, F)
         assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref)), (d, n)
 
@@ -530,15 +552,15 @@ def test_gradient_routes_agree_at_the_term_budget(N, monkeypatch):
     X = _random_rows(spec, N, 12)
     terms = kernel._term_buffer(spec, N)
     assert (terms is not None) == (N == 476)
-    E, F = _energy_raw(spec, X, fields=True, terms=terms)
-    G = _gradient_raw(spec, X, F, terms)
+    E, r = _energy_raw(spec, X, fields=True, terms=terms)
+    G = _gradient_raw(spec, X, r, terms)
     # the other route at the same rows, its budget moved across N
     monkeypatch.setattr(kernel, "_TERM_DOUBLES", 1 << 19 if N == 477 else -1)
     other = kernel._term_buffer(spec, N)
     assert (other is None) == (terms is not None)
-    E_other, F_other = _energy_raw(spec, X, fields=True, terms=other)
-    assert E_other == E == _energy_raw(spec, X) and np.array_equal(F_other, F)
-    G_other = _gradient_raw(spec, X, F_other, other)
+    E_other, r_other = _energy_raw(spec, X, fields=True, terms=other)
+    assert E_other == E == _energy_raw(spec, X) and _same_residual(r_other, r)
+    G_other = _gradient_raw(spec, X, r_other, other)
     assert np.max(np.abs(G - G_other)) <= 1e-13 * np.max(np.abs(G))
 
 
@@ -649,7 +671,7 @@ def test_e8_roots_have_zero_energy_on_the_sampled_rule():
     assert energy_rule_size(7, 5) == 2 * 672
     spec = make_kernel(7, 5)
     assert 0.0 <= _energy_raw(spec, X) <= 1e-28
-    assert np.all(_degree_energies(spec, _fields(spec, X)) <= 1e-28)
+    assert np.all(_degree_energies(spec, X) <= 1e-28)
 
 
 EXACT_DESIGNS = [

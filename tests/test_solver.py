@@ -281,7 +281,7 @@ def test_energy_decrease_satisfies_armijo_condition():
 
 
 def test_solve_makes_one_field_pass_per_energy_call(monkeypatch):
-    # the gradient at an accepted point reuses the fields its energy call built
+    # the gradient at an accepted point reuses the residual its energy call built
     calls = {"fields": 0, "energy": 0, "gradient": 0}
     fields, energy_raw, gradient_raw = kernel._fields, solver._energy_raw, solver._gradient_raw
 
@@ -293,10 +293,11 @@ def test_solve_makes_one_field_pass_per_energy_call(monkeypatch):
         calls["energy"] += 1
         return energy_raw(*args, **kwargs)
 
-    def checked_gradient(spec, X, F=None, terms=None):
+    def checked_gradient(spec, X, r=None, terms=None):
         calls["gradient"] += 1
-        assert F is not None and np.array_equal(F, fields(spec, X))
-        return gradient_raw(spec, X, F, terms)
+        assert r is not None
+        assert all(map(np.array_equal, r, kernel._residual_raw(spec, fields(spec, X))))
+        return gradient_raw(spec, X, r, terms)
 
     monkeypatch.setattr(kernel, "_fields", counted_fields)
     monkeypatch.setattr(solver, "_energy_raw", counted_energy)
@@ -334,16 +335,16 @@ def test_solve_failed_line_search_restarts_from_steepest_descent(monkeypatch):
     trials = []
     gradients = []
 
-    def counted_gradient(spec, X, F=None, terms=None):
+    def counted_gradient(spec, X, r=None, terms=None):
         gradients.append(np.array(X))
-        return gradient_raw(spec, X, F, terms)
+        return gradient_raw(spec, X, r, terms)
 
     def energy_that_stops_decreasing(spec, Y, fields=False, terms=None):
         trials.append(np.array(Y))
-        E, F = energy_raw(spec, Y, fields=True, terms=terms)
+        E, r = energy_raw(spec, Y, fields=True, terms=terms)
         if len(trials) > 5:
             E += 1.0
-        return (E, F) if fields else E
+        return (E, r) if fields else E
 
     monkeypatch.setattr(solver, "_energy_raw", energy_that_stops_decreasing)
     monkeypatch.setattr(solver, "_gradient_raw", counted_gradient)

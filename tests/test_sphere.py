@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from designforge import sphere
 from designforge.sphere import (
     Partition,
     _geodesic_rows,
@@ -283,6 +284,24 @@ def test_eq_partition_area_invariants(d, N):
     assert p.N == N
     assert np.max(np.abs(p.areas * N - 1.0)) <= 1e-10
     assert abs(p.areas.sum() - 1.0) <= 1e-10
+
+
+def test_collar_counts_are_nonnegative_and_sum_to_the_regions_off_the_caps(monkeypatch):
+    # the running remainder alone keeps every count >= 0 and their sum at N - 2
+    seen = []
+    collar_counts = sphere._collar_counts
+
+    def recorded(N, fractions):
+        counts = collar_counts(N, fractions)
+        seen.append((N, counts))
+        return counts
+
+    monkeypatch.setattr(sphere, "_collar_counts", recorded)
+    for d, top in [(2, 1200), (3, 800), (4, 400), (5, 250), (6, 120)]:
+        sphere._eq_regions(d, range(1, top + 1))
+    assert len(seen) > 3000
+    for N, counts in seen:
+        assert min(counts) >= 0 and sum(counts) == N - 2, (N, counts)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
