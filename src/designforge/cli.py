@@ -361,8 +361,9 @@ def cmd_generate(args, parser):
             break
 
     if args.verbose:
-        for i, (e, s) in enumerate(zip(report.energy_trace[1:], report.step_trace), 1):
-            sys.stderr.write(f"iteration={i} energy={e:.6e} step={s:.6e}\n")
+        steps = zip(report.kind_trace, report.energy_trace[1:], report.step_trace)
+        for i, (kind, e, s) in enumerate(steps, 1):
+            sys.stderr.write(f"iteration={i} kind={kind} energy={e:.6e} step={s:.6e}\n")
 
     doc = {"d": args.d, "n": args.n, "N": chosen_N, "solve": report.to_dict()}
     converged = report.terminated == "converged"

@@ -3,8 +3,9 @@
 Points and tangent vectors are the rows of float arrays: N points on S^d
 are an (N, d+1) array X of unit rows, and tangent vectors at them are an
 (N, d+1) array V with each row orthogonal to the matching row of X.
-`tangent_rows` projects onto those tangent spaces and `_geodesic_rows`
-moves along great circles; every point a region yields is such a row.
+`tangent_rows` projects onto those tangent spaces, `tangent_basis` gives
+each an orthonormal basis, and `_geodesic_rows` moves along great circles;
+every point a region yields is such a row.
 
 The partition construction is recursive and zonal: two polar caps plus
 collars, each collar split by partitioning the cross-section sphere
@@ -39,6 +40,24 @@ def tangent_rows(X, V):
     V may be a stack (..., N, d+1) of such arrays; each is projected as it
     would be alone, bit for bit."""
     return V - np.einsum("...ij,ij->...i", V, X)[..., None] * X
+
+
+def tangent_basis(X):
+    """Orthonormal bases of the tangent spaces at the rows of X: a (d, N, d+1)
+    stack of d tangent arrays, such that basis[:, i] spans the complement
+    of x_i.
+
+    basis[j - 1, i] is row j of the Householder reflection
+    I - 2 v v^T / |v|^2, v = x_i + s e_0 with s the sign of x_i0 (+1 at
+    0), which takes x_i to -s e_0; |v|^2 = 2 (1 + |x_i0|) >= 2, so nothing
+    cancels."""
+    v = X.copy()
+    v[:, 0] += np.where(X[:, 0] >= 0.0, 1.0, -1.0)
+    v *= np.sqrt(2.0 / np.einsum("ij,ij->i", v, v))[:, None]
+    basis = -v.T[1:, :, None] * v
+    for j in range(X.shape[1] - 1):
+        basis[j, :, j + 1] += 1.0
+    return basis
 
 
 def _geodesic_rows(X, V, t):

@@ -35,6 +35,7 @@ Finally the averaging bound used to seed the solver is checked by Monte
 Carlo over in-region sampling.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -117,6 +118,31 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
+@functools.lru_cache(maxsize=None)
+def _exponent_table(d, n):
+    """(exponents, table): the exponent vectors of degree 0..n in
+    `monomial_exponents` order, as a tuple of int tuples and as a read-only
+    (K + 1, d+1) integer array.  Built once per (d, n) and shared by the
+    monomial certifier and the MZ check's monomial mixtures."""
+    exponents = tuple(monomial_exponents(d, n, 0))
+    table = np.array(exponents)
+    table.flags.writeable = False
+    return exponents, table
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_integrals(d, n):
+    """The exact sphere integrals of the exponent vectors of degree 0..n of
+    `_exponent_table`, read-only: computed for the all-even vectors only,
+    the rest vanish by parity."""
+    exponents, table = _exponent_table(d, n)
+    integral = np.zeros(len(exponents))
+    even = np.flatnonzero(~np.any(table % 2, axis=1))
+    integral[even] = [monomial_sphere_integral(exponents[k]) for k in even]
+    integral.flags.writeable = False
+    return integral
+
+
 def worst_monomial_deviation(points, n):
     """Max |mean x^a - integral x^a| over monomials of degree 1..n.
 
@@ -127,8 +153,9 @@ def worst_monomial_deviation(points, n):
     gathers rows of the per-coordinate power tables x_c^e and multiplies
     them coordinate 0 first (a factor x_c^0 = 1.0 is exact), so the cost is
     K x N multiplies over d+1 gathers and the memory one block of about
-    _BLOCK_DOUBLES values.  Exact integrals are computed only for the
-    all-even exponent vectors; the rest vanish by parity.  At n = 12 and
+    _BLOCK_DOUBLES values.  The table and the exact integrals depend on
+    (d, n) alone and are built once (`_exponent_table`,
+    `_monomial_integrals`).  At n = 12 and
     N = 1000 random points one call takes 4-6 ms on S^2 (K = 454), 9-15 ms
     on S^3 (K = 1819) and 25-45 ms on S^4 (K = 6187) on one core of a
     shared 2-vCPU Xeon.  d is not capped: the CLI asks only where an
@@ -144,11 +171,8 @@ def worst_monomial_deviation(points, n):
         raise ValueError(f"points must be finite unit vectors ({UNIT_TOL:g})")
     if not 1 <= n <= MAX_MONOMIAL_DEGREE:
         raise ValueError(f"monomial certification supports n in 1..{MAX_MONOMIAL_DEGREE}")
-    exponents = list(monomial_exponents(d, n))
-    table = np.array(exponents)
-    integral = np.zeros(len(exponents))
-    even = np.flatnonzero(~np.any(table % 2, axis=1))
-    integral[even] = [monomial_sphere_integral(exponents[k]) for k in even]
+    exponents, table = _exponent_table(d, n)
+    exponents, table, integral = exponents[1:], table[1:], _monomial_integrals(d, n)[1:]
     powers = [
         np.stack([X[:, c] ** e for e in range(n + 1)]) for c in range(d + 1)
     ]
@@ -411,7 +435,7 @@ def mz_check(points, m, trials=100, seed=0, min_nodes=1_000_000):
     coarse_rings = quadrature_rings(d, max(_MIN_GRID_NODES, min_nodes // 4), 2 * m + 1)
     coarse_integral = _ring_abs_integral(coarse_rings, m)
     spec_m = make_kernel(d, m)
-    exponent_pool = list(monomial_exponents(d, m, 0))
+    exponent_pool, _ = _exponent_table(d, m)
 
     ratios = np.empty(trials)
     for trial in range(trials):

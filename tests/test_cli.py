@@ -350,6 +350,20 @@ def test_generate_near_the_existence_threshold_converges(tmp_path, capsys):
     assert doc["verification"]["mz"]["pass"] is True
 
 
+def test_generate_verbose_tags_each_iteration_with_its_kind(tmp_path, capsys):
+    out = tmp_path / "d1n4N10.json"
+    argv = ["generate", "-d", "1", "-n", "4", "-N", "10", "--init-mode", "random-in-region",
+            "--seed", "0", "--verbose", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    solve = json.loads(captured.out)["solve"]
+    lines = captured.err.splitlines()
+    assert len(lines) == solve["iterations"] == len(solve["kind_trace"])
+    for i, (line, kind) in enumerate(zip(lines, solve["kind_trace"]), 1):
+        assert line.startswith(f"iteration={i} kind={kind} energy="), line
+    assert solve["kind_trace"][-1] == "lm" and solve["lm_steps"] > 0
+
+
 def test_generate_in_high_dimension_converges(tmp_path, capsys):
     # the zonal-span rule has 312 nodes here; a product rule would need 4**7 * 7 = 114 688
     out = tmp_path / "d8n3.json"

@@ -7,7 +7,10 @@ from designforge import kernel, solver
 from designforge.kernel import (
     Configuration,
     _energy_raw,
+    _fields,
     _gradient_raw,
+    _jacobian_raw,
+    _residual_raw,
     design_residual,
     make_kernel,
 )
@@ -207,6 +210,16 @@ def test_solve_respects_max_iterations():
     assert report.terminated in ("max_iterations", "converged")
 
 
+def test_solve_stalls_where_no_design_is_known():
+    # no 22-point 6-design on S^2 is known; this start stalls near residual
+    # 0.0118, above the LM switch, as it did before the LM finish
+    spec = make_kernel(2, 6)
+    config, _ = initial_configuration(spec, 22, mode="random-in-region", seed=0)
+    _, report = solve(spec, config, SolveOptions(max_iterations=3000))
+    assert report.terminated in ("stalled", "max_iterations")
+    assert report.final_residual > 1e-3 and report.lm_steps == 0
+
+
 def test_solve_underpopulated_does_not_converge():
     # N = 6 cannot host a strength-5 design; the solver must report, not loop
     spec = make_kernel(2, 5)
@@ -243,9 +256,10 @@ def test_solve_report_serializes():
     config = Configuration(spec, np.array([[0.0, 0, 1], [0.0, 0, -1]]))
     _, report = solve(spec, config)
     doc = report.to_dict()
+    # schema: kind_trace and lm_steps joined the report with the LM finish
     assert set(doc) == {
         "iterations", "energy_trace", "step_trace", "final_residual",
-        "terminated", "initial_bound",
+        "terminated", "initial_bound", "kind_trace", "lm_steps",
     }
 
 
@@ -280,8 +294,9 @@ def test_energy_decrease_satisfies_armijo_condition():
     assert e1 <= e0 - 0.5 * t * (2.0 / X.shape[0]) * S
 
 
-def test_solve_makes_one_field_pass_per_energy_call(monkeypatch):
-    # the gradient at an accepted point reuses the residual its energy call built
+def _solve_counting_calls(monkeypatch):
+    """Solve (2, 6, 98) seed 3, counting field passes, energy calls and
+    gradients; each gradient must receive the residual of its rows."""
     calls = {"fields": 0, "energy": 0, "gradient": 0}
     fields, energy_raw, gradient_raw = kernel._fields, solver._energy_raw, solver._gradient_raw
 
@@ -305,6 +320,14 @@ def test_solve_makes_one_field_pass_per_energy_call(monkeypatch):
     spec = make_kernel(2, 6)
     config, _ = initial_configuration(spec, 98, mode="random-in-region", seed=3)
     _, report = solve(spec, config)
+    return report, calls
+
+
+def test_solve_makes_one_field_pass_per_energy_call(monkeypatch):
+    # the gradient at an accepted point reuses the residual its energy call
+    # built; the LM switch is moved out of reach, so that L-BFGS runs to the end
+    monkeypatch.setattr(solver, "_LM_ENERGY", 0.0)
+    report, calls = _solve_counting_calls(monkeypatch)
     assert report.terminated == "converged" and report.iterations > 10
     # the start plus at least one trial per iteration; no line search failed
     assert calls["energy"] >= report.iterations + 1
@@ -312,10 +335,22 @@ def test_solve_makes_one_field_pass_per_energy_call(monkeypatch):
     assert calls["fields"] == calls["energy"]
 
 
-@pytest.mark.parametrize("N, seed", [(28, 0), (28, 1), (28, 2), (26, 0)])
+def test_lm_finish_takes_no_gradient_and_no_field_pass_of_its_own(monkeypatch):
+    # the same solve with the LM finish: one field pass per energy call
+    # still, and a gradient for the L-BFGS iterations only
+    report, calls = _solve_counting_calls(monkeypatch)
+    assert report.terminated == "converged" and report.lm_steps > 0
+    assert calls["energy"] >= report.iterations + 1
+    assert calls["gradient"] == report.iterations - report.lm_steps
+    assert calls["fields"] == calls["energy"]
+
+
+@pytest.mark.parametrize("N, seed", [(28, 0), (28, 1), (28, 2), (26, 0), (24, 0), (24, 2)])
 def test_solve_converges_near_the_existence_threshold(N, seed):
-    # N close to the smallest 6-designs on S^2; steepest descent ended these
-    # solves at residuals 5.9e-6 to 5.1e-5 after 3000 iterations
+    # N close to the smallest 6-designs on S^2 (McLaren's 24-point
+    # 7-design); steepest descent ended the N = 26, 28 solves at residuals
+    # 5.9e-6 to 5.1e-5 after 3000 iterations, and L-BFGS alone the N = 24
+    # ones at 1.3e-8 (seed 0) and 1.1e-8 (seed 2)
     spec = make_kernel(2, 6)
     config, _ = initial_configuration(spec, N, mode="random-in-region", seed=seed)
     final, report = solve(spec, config, SolveOptions(max_iterations=3000))
@@ -328,7 +363,9 @@ def test_solve_failed_line_search_restarts_from_steepest_descent(monkeypatch):
     # from the sixth energy call on the energy stops decreasing: the L-BFGS
     # search in progress fails, the memory is cleared, the next search starts
     # at the seeded steepest-descent step with the same gradient, and its
-    # failure ends the solve
+    # failure ends the solve.  This start reaches the LM switch energy
+    # within five calls, so the switch is moved out of reach.
+    monkeypatch.setattr(solver, "_LM_ENERGY", 0.0)
     spec = make_kernel(2, 3)
     config, _ = initial_configuration(spec, 24, mode="random-in-region", seed=4)
     energy_raw, gradient_raw = solver._energy_raw, solver._gradient_raw
@@ -360,3 +397,92 @@ def test_solve_failed_line_search_restarts_from_steepest_descent(monkeypatch):
     steepest = _geodesic_rows(X, _steepest_velocities(spec, X), step0)
     assert np.max(np.abs(trials[-limit] - steepest)) <= 1e-15
     assert np.max(np.abs(trials[-2 * limit] - steepest)) > 1e-3
+
+
+def test_solve_kind_trace_names_every_iteration():
+    # L-BFGS (from a steepest-descent first step) down to the switch
+    # energy, then LM steps to the end, each taken whole
+    spec = make_kernel(2, 6)
+    config, _ = initial_configuration(spec, 98, mode="random-in-region", seed=3)
+    _, report = solve(spec, config)
+    kinds = report.kind_trace
+    assert report.terminated == "converged"
+    assert len(kinds) == len(report.step_trace) == report.iterations
+    assert kinds[0] == "steepest" and set(kinds) <= {"steepest", "lbfgs", "lm"}
+    first = kinds.index("lm")
+    assert kinds[first:] == ["lm"] * report.lm_steps and "lm" not in kinds[:first]
+    assert report.step_trace[first:] == [1.0] * report.lm_steps
+    assert report.energy_trace[first] <= solver._LM_ENERGY < report.energy_trace[first - 1]
+
+
+def _residual_vector(spec, X):
+    return np.concatenate(_residual_raw(spec, _fields(spec, X)))
+
+
+def test_lm_step_tends_to_the_minimum_norm_least_squares_step():
+    # (2, 3, 20): J is 15 x 40 of full row rank, so as mu -> 0 the LM step
+    # tends to the minimum-norm solution of J delta = -r, and the model's
+    # predicted decrease |r|^2 - |r + J delta|^2 to all of |r|^2
+    spec = make_kernel(2, 3)
+    config, _ = initial_configuration(spec, 20, mode="random-in-region", seed=1)
+    J, _ = _jacobian_raw(spec, config.coords)
+    r = _residual_vector(spec, config.coords)
+    A = J @ J.T
+    assert J.shape == (15, 40) and np.linalg.matrix_rank(J) == 15
+    expected = np.linalg.lstsq(J, -r, rcond=None)[0]
+    scale = float(np.max(np.diagonal(A)))
+    errors = []
+    for mu in (1e-3 * scale, 1e-6 * scale, 1e-9 * scale, 1e-12 * scale, 0.0):
+        delta, predicted = solver._lm_step(J, A, r, mu)
+        errors.append(np.max(np.abs(delta - expected)) / np.max(np.abs(expected)))
+        linear = r @ r - np.sum((r + J @ delta) ** 2)
+        assert predicted == pytest.approx(linear, rel=1e-12, abs=1e-16 * (r @ r))
+    assert errors == sorted(errors, reverse=True)
+    assert errors[-2] <= 1e-10 and errors[-1] <= 1e-13
+    assert predicted == pytest.approx(r @ r, rel=1e-13)
+
+
+def test_lm_finish_stalls_when_no_trial_decreases(monkeypatch):
+    # once the first Jacobian is built every energy comes back raised, so
+    # every LM trial is rejected and the damping grows until the solve
+    # stalls at the last accepted point, with no LM step taken
+    spec = make_kernel(2, 6)
+    config, _ = initial_configuration(spec, 98, mode="random-in-region", seed=3)
+    energy_raw, jacobian_raw = solver._energy_raw, solver._jacobian_raw
+    jacobians = []
+
+    def counted_jacobian(spec, X, out=None):
+        jacobians.append(np.array(X))
+        return jacobian_raw(spec, X, out)
+
+    def energy_raised_after_the_switch(spec, Y, fields=False, terms=None):
+        E, r = energy_raw(spec, Y, fields=True, terms=terms)
+        if jacobians:
+            E += 1.0
+        return (E, r) if fields else E
+
+    monkeypatch.setattr(solver, "_energy_raw", energy_raised_after_the_switch)
+    monkeypatch.setattr(solver, "_jacobian_raw", counted_jacobian)
+    final, report = solve(spec, config)
+    assert report.terminated == "stalled"
+    assert report.lm_steps == 0 and "lm" not in report.kind_trace
+    assert len(jacobians) == 1 and np.array_equal(jacobians[0], final.coords)
+    assert report.energy_trace[-1] <= solver._LM_ENERGY
+    assert report.final_residual == design_residual(spec, final.coords)
+
+
+def test_lm_finish_needs_j_and_its_gram_within_the_budget(monkeypatch):
+    # J (48 x 196) and J J^T (48 x 48) at (2, 6, 98): at the budget the LM
+    # finish runs, one double past it the solve is L-BFGS to the end
+    spec = make_kernel(2, 6)
+    config, _ = initial_configuration(spec, 98, mode="random-in-region", seed=3)
+    need = 48 * (2 * 98 + 48)
+    monkeypatch.setattr(solver, "_JACOBIAN_DOUBLES", need)
+    _, at = solve(spec, config)
+    monkeypatch.setattr(solver, "_JACOBIAN_DOUBLES", need - 1)
+    _, past = solve(spec, config)
+    monkeypatch.setattr(solver, "_LM_ENERGY", 0.0)
+    _, lbfgs = solve(spec, config)
+    assert at.terminated == past.terminated == "converged"
+    assert at.lm_steps > 0 and past.lm_steps == 0
+    assert past.energy_trace == lbfgs.energy_trace and past.kind_trace == lbfgs.kind_trace

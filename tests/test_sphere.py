@@ -14,6 +14,7 @@ from designforge.sphere import (
     eq_partition,
     off_sphere_rows,
     sphere_surface_area,
+    tangent_basis,
     tangent_rows,
 )
 from oracles import (
@@ -73,6 +74,22 @@ def test_tangent_rows_idempotent():
     scale = np.maximum(1.0, np.linalg.norm(once, axis=1))
     assert np.all(np.max(np.abs(once - twice), axis=1) <= 1e-14 * scale)
     assert np.max(np.abs(np.einsum("ij,ij->i", once, X))) <= 1e-14
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_tangent_basis_is_orthonormal_and_tangent(d):
+    # rows on and near the coordinate axes, where the Householder sign flips
+    rng = np.random.default_rng(d)
+    axes = np.concatenate([np.eye(d + 1), -np.eye(d + 1)])
+    tilted = axes + 1e-9 * rng.standard_normal(axes.shape)
+    X = np.concatenate([_uniform_points(d, 30, rng), axes, tilted / np.linalg.norm(
+        tilted, axis=1)[:, None]])
+    basis = tangent_basis(X)
+    assert basis.shape == (d, X.shape[0], d + 1)
+    # a few ulps: 9e-16 at most over 50 draws of 200 random rows
+    assert np.max(np.abs(np.einsum("jic,ic->ij", basis, X))) <= 2e-15
+    gram = np.einsum("jic,kic->ijk", basis, basis)
+    assert np.max(np.abs(gram - np.eye(d))) <= 2e-15
 
 
 def test_geodesic_quarter_circle():

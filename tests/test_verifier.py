@@ -496,6 +496,27 @@ def test_worst_monomial_deviation_is_the_per_monomial_loop_bit_for_bit(X, streng
         assert type(worst) is float and all(type(e) is int for e in witness)
 
 
+def test_monomial_tables_are_built_once_and_read_only(monkeypatch):
+    X = _random_rows(40, 3, 5)
+    first = worst_monomial_deviation(X, 7)
+    computed = []
+
+    def counted_integral(exponents):
+        computed.append(exponents)
+        return monomial_sphere_integral(exponents)
+
+    monkeypatch.setattr(verifier, "monomial_sphere_integral", counted_integral)
+    assert worst_monomial_deviation(X, 7) == first
+    assert mz_check(X, 7, trials=2, min_nodes=4096).trials == 2
+    assert not computed
+    exponents, table = verifier._exponent_table(3, 7)
+    assert exponents == tuple(monomial_exponents(3, 7, 0))
+    for cached in (table, verifier._monomial_integrals(3, 7)):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_witness_of_all_zero_deviations_is_the_first_exponent(d, tmp_path, capsys):
     # {+-e_d} averages every degree-1 monomial to 0 exactly, its integral
