@@ -466,6 +466,24 @@ def test_out_of_range_numeric_flags_are_usage_errors(argv, message, tmp_path, mo
     assert not (tmp_path / "out.csv").exists()
 
 
+# the CI cases' MZ ratios on the default 10^6-node grids, recorded from the
+# reference integral that turned each block of arcs by its own exp: a
+# reworked integral must print them to 1e-13
+@pytest.mark.parametrize("d,n,ratios", [
+    (1, 8, (0.9256955833710966, 1.011012381973966)),
+    (2, 5, (0.9214682984732048, 1.0160182292065758)),
+    (3, 3, (0.9469124429067054, 1.0625650765526793)),
+])
+def test_generate_prints_the_recorded_mz_ratios(d, n, ratios, tmp_path, capsys):
+    argv = ["generate", "-d", str(d), "-n", str(n), "-N", "auto", "--seed", "1",
+            "--no-timestamp", "-o", str(tmp_path / "out.json")]
+    assert cli.main(argv) == cli.EXIT_OK
+    mz = json.loads(capsys.readouterr().out)["verification"]["mz"]
+    assert (mz["degree"], mz["trials"], mz["pass"]) == (2 * n, 8, True)
+    assert mz["min_ratio"] == pytest.approx(ratios[0], rel=1e-13)
+    assert mz["max_ratio"] == pytest.approx(ratios[1], rel=1e-13)
+
+
 def test_generate_and_verify_report_one_residual(tmp_path, capsys):
     # the solve, generate's verification and verify on the written file all
     # take the energy of the same rows: the points are never renormalized,

@@ -323,16 +323,23 @@ def test_mz_rejects_non_unit_rows():
     {"min_nodes": 10.5},
     {"min_nodes": 4095},
     {"trials": 2.5},
+    {"m": True},
+    {"m": 2.0},
+    {"trials": True},
+    {"seed": 1.5},
+    {"seed": -1},
+    {"seed": True},
 ])
 def test_mz_rejects_bad_counts_before_any_grid(kwargs, monkeypatch):
     # these used to raise TypeError or a misleading ArithmeticError from the
-    # grid-consistency check, or built grids of fewer nodes than the coarse one
+    # grid-consistency check, or built grids of fewer nodes than the coarse
+    # one; a bool seed ran as seed 0 or 1
     def no_grid(*args):
         raise AssertionError("a grid was built")
 
     monkeypatch.setattr(verifier, "quadrature_rings", no_grid)
     with pytest.raises(ValueError):
-        mz_check(icosahedron(), 2, **{"trials": 2, "min_nodes": 10_000, **kwargs})
+        mz_check(icosahedron(), **{"m": 2, "trials": 2, "min_nodes": 10_000, **kwargs})
 
 
 def test_mz_non_finite_ratio_fails(monkeypatch):
