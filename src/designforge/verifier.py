@@ -416,10 +416,13 @@ def _arc_blocks(rings, m):
 
     Per block that is two half-arc matmuls, after one outer-interpolation
     matmul per ring block and, where rings are cut into arcs, one turning
-    product and two copies per group of arcs.  blocks yields (first node,
-    first ring, w, C, S), C and S the (arcs, rings, ceil(w/2)) layers of
-    one block buffer, views that hold until the next block;
-    P(phi_c +- psi_h) = C +- S at an arc's mirror pair of nodes.
+    product and two copies per group of arcs: 2.3, 1.9 and 2.2 ms per
+    fine-grid trial on S^1, S^2 and S^3 at the generate-mz degrees, where an
+    exp, two products and two copies per block took 2.6, 2.4 and 3.3 ms
+    (module docstring).  blocks yields (first node, first ring, w, C, S),
+    C and S the (arcs, rings, ceil(w/2)) layers of one block buffer, views
+    that hold until the next block; P(phi_c +- psi_h) = C +- S at an arc's
+    mirror pair of nodes.
     """
     spectrum = _torus_spectrum(len(rings.levels) + 1, m)
     parts = _arc_parts(rings, m)
@@ -507,8 +510,9 @@ def mz_check(points, m, trials=100, seed=0, min_nodes=1_000_000):
     each nested angle (each grid has L >= 2m+1, raised if need be, so
     nothing aliases).  The tables and block buffers are built here, once
     per grid, and reused by every trial.  At the generate degrees on S^1,
-    S^2 and S^3 a fine-grid trial takes about 2.3, 1.9 and 2.2 ms (see the
-    module docstring).  The discrete mean is evaluated directly on the
+    S^2 and S^3 a fine-grid trial takes about 2.3, 1.9 and 2.2 ms, against
+    2.6, 2.4 and 3.3 ms with a turn per block and |C| and |S| taken apart
+    (module docstring).  The discrete mean is evaluated directly on the
     points, and only the points are read.  A non-finite ratio fails the
     check.  Non-finite or non-unit rows, m not an integer in 1..MAX_DEGREE
     (the kernel-span trials need `make_kernel(d, m)`), trials not an
