@@ -11,11 +11,9 @@ P_k^alpha = C_k^alpha / C_k^alpha(1), so P_k(1) = 1 and |P_k| <= 1 on
 separate convention.
 
   `gegenbauer_terms`   the values P_0(t), ..., P_n(t) degree by degree, for
-                       per-degree fields and Gram matrices, and the kept
-                       terms the gradient of a small solve contracts;
+                       per-degree fields, Gram matrices and the Jacobian;
   `gegenbauer_series`  one sum sum_k c_k P_k(t) by Clenshaw's recurrence,
-                       for the kernel series g, g', g'' and the gradient
-                       past the kernel's term budget.
+                       for the kernel series g, g', g'' and the gradient.
 
 `gauss_gegenbauer` finds the zeros of P_n by Newton's method on the same
 recurrence, written in the colatitude (see `_at_colatitude`), for the Gauss
@@ -47,7 +45,7 @@ def clamp_unit(t):
     return np.clip(t, -1.0, 1.0)
 
 
-def gegenbauer_terms(alpha, n, t, out=None):
+def gegenbauer_terms(alpha, n, t):
     """Yield P_0(t), ..., P_n(t), P_k = C_k^alpha / C_k^alpha(1), for alpha >= 0.
 
         P_0 = 1,  P_1 = t,
@@ -58,13 +56,11 @@ def gegenbauer_terms(alpha, n, t, out=None):
     already in [-1, 1].
 
     P_0 is a read-only broadcast of 1 and P_1 is t itself.  Every later term
-    is a fresh array, or, with out of shape (n + 1,) + t.shape, out[k]; out[0]
-    is then the steps' scratch, and a caller that wants P_1..P_n in out
-    passes t = out[1].  Callers never write a yielded array, so a caller may
+    is a fresh array.  Callers never write a yielded array, so a caller may
     keep it; it must not be modified while the generator still needs it as
-    P_{k-1} or P_{k-2}.  Each step runs in place, with one scratch array per
-    generator, in the rounding order of the expression above, so out changes
-    no value.
+    P_{k-1} or P_{k-2}.  Each step runs in place on its new term, with one
+    scratch array per generator, in the rounding order of the expression
+    above.
     """
     prev = np.broadcast_to(1.0, t.shape)
     yield prev
@@ -72,10 +68,10 @@ def gegenbauer_terms(alpha, n, t, out=None):
         return
     cur = t
     yield cur
-    scratch = np.empty_like(t) if out is None else out[0]
+    scratch = np.empty_like(t)
     for k in range(2, n + 1):
         tp = np.multiply(t, cur, out=scratch)
-        nxt = tp - prev if out is None else np.subtract(tp, prev, out=out[k])
+        nxt = tp - prev
         nxt *= (k - 1.0) / (k + 2.0 * alpha - 1.0)
         nxt += tp
         prev, cur = cur, nxt

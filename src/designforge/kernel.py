@@ -32,14 +32,7 @@ N = 960 took twice as long (15 ms against 7.6 ms on a 2-vCPU Xeon with
 The energy call keeps the residual r_k = B_k^T F_k (`_residual_raw`), the
 weighted moments of the point set in an orthonormal basis of each H_k, whose
 squared norms are the E_k; `solve` hands r, not the fields, to the gradient
-at an accepted point.  Small solves also keep the field pass's terms.  When
-all M nodes fit one block and P_1..P_{n-1} fit _TERM_DOUBLES = 2^18 doubles
-(2 MiB), the energy call writes every P_k into a term buffer of n + 1 (N, M)
-arrays, which `solve` allocates once and hands to each call
-(`_term_buffer`), and the gradient at that point is a BLAS contraction of
-those terms through the exact index-shift map of `_shift_map`: no second
-pass over <x_i, z_a>, no Clenshaw sum.  Past that budget the gradient runs
-its own Clenshaw pass as above.
+at an accepted point.
 
 `_jacobian_raw` gives the Jacobian J of r with respect to tangent moves of
 the points, D = dim P_n - 1 rows by d N columns in an orthonormal tangent
@@ -47,10 +40,9 @@ basis at each point (`sphere.tangent_basis`).  By the index shift its row
 block k is c_k B_k^T times P_{k-1}^{alpha+1}(<x_i, z_a>) z_a, the same
 field derivative the gradient sums, so 2 J^T r is the gradient; it is built
 from one `gegenbauer_terms` pass at alpha + 1 and one BLAS product per
-degree, and the solver's Levenberg-Marquardt finish is its only user.
+degree, and the solver's Levenberg-Marquardt steps are its only user.
 """
 
-import functools
 import math
 from fractions import Fraction
 
@@ -68,9 +60,6 @@ from .sphere import UNIT_TOL, as_coords, off_sphere_rows, tangent_basis, tangent
 # node block size of the field passes: N * block stays near this many doubles
 # (see the module docstring for why 2^16)
 _BLOCK_DOUBLES = 1 << 16
-# budget of the kept terms P_1..P_{n-1} of a one-block field pass, 2 MiB
-# (see `_term_buffer`)
-_TERM_DOUBLES = 1 << 18
 # node budget of the zonal-span rule (see `energy_rule_size`)
 _MAX_SAMPLED_NODES = 4096
 _SAMPLED_SEED = 0
@@ -261,37 +250,16 @@ def _node_blocks(N, M):
     return [slice(start, start + block) for start in range(0, M, block)]
 
 
-def _term_buffer(spec, N):
-    """The term buffer of N rows: an empty (n + 1, N, M) array when the
-    field pass keeps its terms P_1..P_{n-1} for the gradient, else None.
-
-    The terms are kept when all M rule nodes fit one node block and the
-    n - 1 kept (N, M) arrays fit _TERM_DOUBLES doubles, so the choice
-    depends on (n, N, M) alone.  Slot k holds P_k and slot 0 the
-    recurrence's scratch (`gegenbauer_terms`).
-    """
-    Z, _ = _energy_rule(spec.d, spec.n)
-    M = Z.shape[0]
-    if len(_node_blocks(N, M)) > 1 or (spec.n - 1) * N * M > _TERM_DOUBLES:
-        return None
-    return np.empty((spec.n + 1, N, M))
-
-
-def _fields(spec, X, terms=None):
+def _fields(spec, X):
     """F_k(z_a) = (1/N) sum_i h_k(<x_i, z_a>), h_k = sqrt(dim_k / w_k) P_k,
-    for k = 1..n at every node z_a of the zonal-span rule; shape (n, M).
-
-    terms, when given, is `_term_buffer`(spec, N), and the pass leaves
-    P_k(<x_i, z_a>) in terms[k]; the fields are bitwise the same.
-    """
+    for k = 1..n at every node z_a of the zonal-span rule; shape (n, M)."""
     Z, _ = _energy_rule(spec.d, spec.n)
     N = X.shape[0]
     coeffs = np.sqrt(spec.series[0]) / N
     ones = np.ones(N)
     F = np.empty((spec.n, Z.shape[0]))
     for nodes in _node_blocks(N, Z.shape[0]):
-        t = np.matmul(X, Z[nodes].T, out=None if terms is None else terms[1])
-        P = gegenbauer_terms(spec.alpha, spec.n, t, terms)
+        P = gegenbauer_terms(spec.alpha, spec.n, X @ Z[nodes].T)
         next(P)
         for k, term in enumerate(P):
             # column sums by BLAS gemv: 3-6x faster than term.sum(axis=0) here
@@ -316,17 +284,15 @@ def _residual_raw(spec, F):
     return [B.T @ F[k, :B.shape[0]] for k, B in enumerate(maps)]
 
 
-def _energy_raw(spec, X, fields=False, terms=None):
+def _energy_raw(spec, X, fields=False):
     """Design energy |Phi|^2 of the rows of X: the sum of the per-degree
     energies |r_k|^2 of `_residual_raw`, with no clamping.
 
     With fields=True, returns (E, r) so that the solver can hand the
     residual of an accepted point to `_gradient_raw` instead of computing
-    it again.  terms, when given, is `_term_buffer`(spec, N), which the
-    field pass fills for that gradient; E and r are bitwise the same either
-    way.
+    it again.
     """
-    r = _residual_raw(spec, _fields(spec, X, terms))
+    r = _residual_raw(spec, _fields(spec, X))
     E = float(np.sum([v @ v for v in r]))
     return (E, r) if fields else E
 
@@ -335,68 +301,33 @@ def _energy_raw(spec, X, fields=False, terms=None):
 _energy_dd_raw = _energy_raw
 
 
-@functools.lru_cache(maxsize=None)
-def _shift_map(d, n):
-    """The (n, n) map Lambda of the index shift down to alpha:
-
-        P_{k-1}^{alpha+1} = sum_j Lambda[j, k-1] P_j^alpha,   k = 1..n,
-
-    summed over j = k-1, k-3, ... >= 0, with Lambda[j, k-1] = r_j / sum_j' r_j'
-    over those j, r_0 = 1 and r_j = 2 (j + alpha) (2 alpha + 1)_{j-1} / j!.
-    That is C_{k-1}^{alpha+1} = sum_j (j + alpha) / alpha C_j^alpha in the
-    normalized P; r_j = dim H_j on S^d, so every entry is a ratio of
-    integers, rounded once to float64.  The entries are >= 0 and each
-    column sums to 1, as P(1) = 1 on both sides; on the circle a column
-    holds 1/k and 2/k, U_{k-1} in the T_j.
-    """
-    r = [1] + [harmonic_dim(d, j) for j in range(1, n)]
-    shift = np.zeros((n, n))
-    for k in range(1, n + 1):
-        js = range(k - 1, -1, -2)
-        total = sum(r[j] for j in js)
-        for j in js:
-            shift[j, k - 1] = r[j] / total
-    shift.flags.writeable = False
-    return shift
-
-
-def _gradient_raw(spec, X, r=None, terms=None):
+def _gradient_raw(spec, X, r=None):
     """Spherical gradient rows of the energy, d E / d x_i, shape (N, d+1).
 
     The tangent part of sum_k V_k^T dF_k / dx_i on the rule and residual of
     `_residual_raw`, with V_k = 2 c_k B_k r_k, where by the index shift
     dF_k(z_a) / dx_i = c_k P_{k-1}^{alpha+1}(<x_i, z_a>) z_a and
-    c_k = sqrt(dim_k / w_k) (w_k / d) / N = sqrt(dim_k w_k) / (d N).
+    c_k = sqrt(dim_k / w_k) (w_k / d) / N = sqrt(dim_k w_k) / (d N).  The
+    sum over k is one Clenshaw sum (`gegenbauer_series`) per node block.
 
-    Where `_term_buffer` keeps the terms, the map Lambda of `_shift_map`
-    turns that sum into one over the field pass's own P_j^alpha: with
-    W = Lambda V, row i is sum_a (W_0 + sum_{j>=1} W_j P_j(<x_i, z_a>)) z_a,
-    one BLAS product per kept term.  Otherwise the sum over k is one
-    Clenshaw sum (`gegenbauer_series`) per node block.
-
-    r, when given, must be the residual of these same rows, as
-    `_energy_raw(..., fields=True)` returns it, and terms, when given, the
-    buffer that call filled; the result is then bitwise the same.
+    r, when given, takes the place of the residual: any list of n arrays
+    of the lengths of `_residual_raw`'s gives 2 J^T r in ambient rows, J
+    of `_jacobian_raw`.  The residual of these rows, as
+    `_energy_raw(..., fields=True)` returns it, gives bitwise the gradient
+    computed with no r.
     """
     Z, maps = _energy_rule(spec.d, spec.n)
     N = X.shape[0]
-    # the pass that fills a new term buffer gives bitwise any r passed in
-    if (terms is None and (terms := _term_buffer(spec, N)) is not None) or r is None:
-        r = _residual_raw(spec, _fields(spec, X, terms))
+    if r is None:
+        r = _residual_raw(spec, _fields(spec, X))
     c = np.sqrt(spec.dims * spec.weights) / (spec.d * N)
     V = np.zeros((spec.n, Z.shape[0]))
     for k, (B, r_k) in enumerate(zip(maps, r)):
         V[k, :B.shape[0]] = 2.0 * c[k] * (B @ r_k)
-    if terms is not None:
-        # Y[j] = W_j z_a row by row; P_0 = 1 leaves W_0's row sums
-        Y = (_shift_map(spec.d, spec.n) @ V)[:, :, None] * Z
-        G = np.matmul(terms[1:spec.n], Y[1:]).sum(axis=0)
-        G += Y[0].sum(axis=0)
-    else:
-        G = np.zeros_like(X)
-        for nodes in _node_blocks(N, Z.shape[0]):
-            A = gegenbauer_series(spec.alpha + 1.0, V[:, nodes], X @ Z[nodes].T)
-            G += A @ Z[nodes]
+    G = np.zeros_like(X)
+    for nodes in _node_blocks(N, Z.shape[0]):
+        A = gegenbauer_series(spec.alpha + 1.0, V[:, nodes], X @ Z[nodes].T)
+        G += A @ Z[nodes]
     return tangent_rows(X, G)
 
 

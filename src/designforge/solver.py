@@ -1,35 +1,18 @@
-"""Riemannian L-BFGS on the design energy, finished by Levenberg-Marquardt
-steps on its residual, with area-regular initialization.
+"""Levenberg-Marquardt steps on the design residual, or Riemannian L-BFGS
+on the design energy where its Jacobian is too large, with area-regular
+initialization.
 
-The unknowns are N points on S^d, a product of spheres.  Each iteration
-takes the energy gradient G at X (tangent, row by row) and the direction
-P = -H G of the limited-memory BFGS two-loop recursion over the last
-_MEMORY pairs (s, y), started from (s.y / y.y) times the identity and
-projected onto the tangent space at X.  The points move along great
-circles, X(t) = exp_X(t P), with Armijo backtracking from t = 1.  Pairs are
-carried to each new point by tangent projection (row i of s or y loses its
-component along x_i), all of them and the last move in one call on the one
-array that holds them, and a pair with s.y <= 0 is not stored.  With no
-memory, or when the two-loop direction is not a descent direction, P is
-steepest descent at the curvature-certificate step 1 / (3 g''(1) + g'(1))
-along the velocities -(N/2) G, the step a plain descent would take.  A
-failed line search clears the memory and restarts from that step.
+The unknowns are N points on S^d, a product of spheres.  The energy is the
+squared norm of the residual r(X) = (B_k^T F_k)_k, the point set's
+weighted harmonic moments, D = dim P_n - 1 numbers whose zero is a design.
+`solve` takes one method per solve, chosen by the size of the Jacobian J
+of r (`kernel._jacobian_raw`, D x d N in tangent coordinates).  Where J
+and J J^T have at most _JACOBIAN_DOUBLES entries together, it takes
+Levenberg-Marquardt (LM) steps on r from the start point; past that
+budget it runs L-BFGS on the energy.  Either runs until it converges,
+stalls or runs out of iterations.
 
-The Armijo constant is the usual quasi-Newton 1e-4, not 0.5: a unit L-BFGS
-step is close to the minimizer along P, so its decrease is about half the
-linear prediction and a constant of 0.5 would reject it about as often as
-not.  The energy is the kernel's sum of squares, free of cancellation, so
-the line-search comparisons stay meaningful on one float64 path at the
-smallest energies a solve reaches.
-
-The energy is the squared norm of the residual r(X) = (B_k^T F_k)_k, the
-point set's weighted harmonic moments, D = dim P_n - 1 numbers whose zero
-is a design.  L-BFGS drives |r|^2 down only linearly, by about 15x an
-iteration on the study rows.  So once an accepted point has energy at or
-below _LM_ENERGY, and the Jacobian J of r (`kernel._jacobian_raw`, D x d N
-in tangent coordinates) has at most _JACOBIAN_DOUBLES entries, the solve
-switches to Levenberg-Marquardt (LM) steps on r and takes them until it
-converges, stalls or runs out of iterations.  A step is
+An LM step is
 
     delta = -J^T (J J^T + mu I)^(-1) r,
 
@@ -39,30 +22,55 @@ damped step and the directions that barely move r (the rotations of the
 whole point set, d(d+1)/2 of them, near a design) need no special case.
 The points move along the geodesics exp_X(delta), and mu follows
 Nielsen's gain-ratio rule from 1e-6 times the largest diagonal entry of
-J J^T (`_lm_move`).  Near a design that is a Gauss-Newton step, and the
-residual falls quadratically: the 21 study rows of starts 3-5 (n = 6..12,
-N = 2(n+1)^2) each take 2-3 L-BFGS and 3 LM steps against 17-23 L-BFGS
-iterations, and their solve time, summed over two passes, fell from
-0.53 to 0.24 s (one BLAS thread, pinned, 2-vCPU Xeon).
+J J^T at the start (`_lm_move`).  Near a design that is a Gauss-Newton
+step, and the residual falls quadratically, where L-BFGS drives |r|^2 down
+only linearly, by about 15x an iteration on the study rows.
 
-The switch waits for E <= _LM_ENERGY = 1e-4 because LM far from a design
-finds other basins: started at the first iteration with mu0 = 1e-3 max
-diag, it stalls (d, n, N) = (2, 6, 24) seed 0 in a local minimum at
-3.6e-3, where the hybrid converges.  Where the switch sits between 1e-2
-and 1e-4 hardly matters on the 42 study rows of starts 3-8 (0.27-0.29 s
-for all); at 1e-6 they take 0.30 s, and mu0 = 1e-3 max diag instead of
-1e-6 takes 0.32 s.
+Against L-BFGS down to E <= 1e-4 followed by LM steps (one BLAS thread,
+pinned, 2-vCPU Xeon):
+
+  - the 42 study rows of starts 3-8 (n = 6..12, N = 2(n+1)^2) each take
+    4 LM steps against 5-6 iterations, 3 of them LM.  The rows n = 6..8
+    got faster and n = 11, 12 slower, where an LM step costs more than
+    the two L-BFGS iterations it replaces; the study-solve benchmark
+    reads wall_ref 3.27 against 3.08 ref (medians of 10 pairs);
+  - (d, n, N) = (2, 6, 24) converges from seeds 0, 1 and 2 in 52, 58 and
+    59 steps, where seed 1 stalled at residual 3.56e-3 after 374
+    iterations.  The finding that LM from the start stalls seed 0 in
+    another basin was made with mu0 = 1e-3 max diag, not 1e-6;
+  - (2, 30, 2000) seed 1 takes 4 LM steps in 0.57-0.63 s against 2
+    L-BFGS and 3 LM steps in 0.53-0.55 s, and (2, 40, 880) seed 0 takes
+    21 LM steps in 4.7-4.9 s against 6 and 18 in 4.2 s: at that size an
+    LM step costs several L-BFGS iterations;
+  - (2, 6, 22) seed 0, where no design is known, stalls at residual
+    0.0118 after 685 LM steps (0.18 s) against 302 L-BFGS iterations
+    (0.20 s).
 
 J (D x d N) and J J^T (D x D) are budgeted together at
 _JACOBIAN_DOUBLES = 2^23 doubles (64 MiB); np.linalg.solve holds one more
-copy of J J^T.  The budget admits (2, 40, 880) (D = 1680, 5.8M doubles:
-5 L-BFGS and 18 LM steps in 4.9 s, against 1323 L-BFGS iterations in
-38.4 s; peak RSS 44 -> 116 MiB) and (2, 30, 2000) (D = 960, 4.8M
-doubles: 2 L-BFGS and 3 LM steps in 0.61 s, against 22 L-BFGS iterations
-in 0.84 s).  From the centers start that size begins below the switch
-and L-BFGS alone needed only 6 iterations (0.24 s), against 3 LM steps
-now (0.51 s): an LM step there costs about four L-BFGS iterations.
-Past the budget L-BFGS runs to the end as before.
+copy of J J^T.  The budget admits (2, 40, 880) (D = 1680, 5.8M doubles)
+and (2, 30, 2000) (D = 960, 4.8M doubles).
+
+L-BFGS, past the budget, takes at each iteration the energy gradient G at
+X (tangent, row by row) and the direction P = -H G of the limited-memory
+BFGS two-loop recursion over the last _MEMORY pairs (s, y), started from
+(s.y / y.y) times the identity and projected onto the tangent space at X.
+The points move along great circles, X(t) = exp_X(t P), with Armijo
+backtracking from t = 1.  Pairs are carried to each new point by tangent
+projection (row i of s or y loses its component along x_i), all of them
+and the last move in one call on the one array that holds them, and a
+pair with s.y <= 0 is not stored.  With no memory, or when the two-loop
+direction is not a descent direction, P is steepest descent at the
+curvature-certificate step 1 / (3 g''(1) + g'(1)) along the velocities
+-(N/2) G, the step a plain descent would take.  A failed line search
+clears the memory and restarts from that step.
+
+The Armijo constant is the usual quasi-Newton 1e-4, not 0.5: a unit L-BFGS
+step is close to the minimizer along P, so its decrease is about half the
+linear prediction and a constant of 0.5 would reject it about as often as
+not.  The energy is the kernel's sum of squares, free of cancellation, so
+the line-search comparisons stay meaningful on one float64 path at the
+smallest energies a solve reaches.
 
 See Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
 Manifolds (2008); Chen & Womersley, SIAM J. Numer. Anal. 2006, for
@@ -81,7 +89,6 @@ from .kernel import (
     _energy_raw,
     _gradient_raw,
     _jacobian_raw,
-    _term_buffer,
     gw_d1,  # perfbench/tracing.py wraps this name; solve never calls it
     make_kernel,
 )
@@ -97,11 +104,10 @@ _BACKTRACKING = 0.5
 _ARMIJO = 1e-4
 # L-BFGS: number of (s, y) pairs kept
 _MEMORY = 8
-# Levenberg-Marquardt finish (see the module docstring for the measurements
-# behind each): it starts at this energy, where J and J J^T have at most
-# _JACOBIAN_DOUBLES entries together, with the damping _LM_DAMPING times the
-# largest diagonal entry of J J^T
-_LM_ENERGY = 1e-4
+# Levenberg-Marquardt (see the module docstring for the measurements behind
+# each): a solve takes it where J and J J^T have at most _JACOBIAN_DOUBLES
+# entries together, with the damping _LM_DAMPING times the largest diagonal
+# entry of J J^T at the start
 _JACOBIAN_DOUBLES = 1 << 23
 _LM_DAMPING = 1e-6
 
@@ -127,7 +133,8 @@ class SolveReport:
     full curvature-certificate step when the direction is steepest descent).
     An LM step is taken whole, so its entry is always 1.0.  kind_trace
     holds, per iteration, the kind of its direction: "lbfgs", "steepest"
-    or "lm"; lm_steps counts the "lm" iterations, which are the last ones.
+    or "lm".  A solve takes LM steps only or none (see `solve`), so
+    lm_steps, the count of "lm" iterations, is 0 or all of them.
     """
 
     iterations: int
@@ -278,72 +285,39 @@ def _lm_finish(spec, X, E, r, tol2, budget, energy_trace):
     return X, E, steps, "converged"
 
 
-def solve(spec, init, opts=None, initial_bound=None):
-    """Drive a configuration to a spherical design by Riemannian L-BFGS,
-    finished by Levenberg-Marquardt steps (see the module docstring).
+def _lbfgs(spec, X, E, r, tol2, budget, energy_trace):
+    """Riemannian L-BFGS iterations from X, whose residual is r and energy
+    E, until E <= tol2, at most budget of them (see the module docstring).
 
-    Returns (Configuration, SolveReport); terminated is "converged" exactly
-    when the final residual sqrt(energy) is at or below opts.tolerance.
-    The energy trace holds the energies as computed, and final_residual is
-    `design_residual` of the returned points, bit for bit.
+    Appends each accepted energy to energy_trace.  Returns
+    (X, E, step_trace, kind_trace, terminated), terminated being
+    "converged", "max_iterations" or "stalled": the gradient vanished, a
+    steepest-descent search failed, or _STALL_LIMIT failed searches and
+    iterations that dropped the energy by less than _STALL_RELATIVE of
+    itself came in a row.  Every energy call keeps its residual, so the
+    gradient at the accepted point reuses it: one field pass per trial
+    point.
     """
-    opts = opts or SolveOptions()
-    if init.spec is not spec and (init.spec.d != spec.d or init.spec.n != spec.n):
-        raise ValueError("configuration was built for a different kernel")
-    X = np.array(init.coords, dtype=float)
     N = X.shape[0]
-    tol2 = opts.tolerance**2
-
-    # every energy call keeps its residual r, and its terms where the kernel
-    # keeps them, so the gradient at the accepted point reuses them: one
-    # field pass per trial point.  The terms live in one buffer, which each
-    # trial overwrites after the gradient it serves has been taken.
-    terms = _term_buffer(spec, N)
-    E, r = _energy_raw(spec, X, fields=True, terms=terms)
-    if not np.isfinite(E):
-        raise ArithmeticError("numerical blowup: non-finite energy")
-
     # steepest descent moves along the velocities -(N/2) G at the
     # curvature-certificate step, so its direction is `steepest` times G
     steepest = -(N / 2.0) / spec.curvature
-
-    energy_trace = [E]
     step_trace = []
     kind_trace = []
-    lm_steps = 0
-    D = int(spec.dims.sum())
-    lm_fits = D * (spec.d * N + D) <= _JACOBIAN_DOUBLES
     # slot 0: the previous accepted move (step, gradient); slots 1..len(rhos):
     # the (s, y) pairs, oldest first, with their 1/s.y in rhos
     stack = np.zeros((_MEMORY + 1, 2, N, spec.d + 1))
     rhos = []
     moved = False
     gamma = G = None
-    iterations = 0
     stall = 0
-    terminated = "max_iterations"
-    while True:
-        if E <= tol2:
-            terminated = "converged"
-            break
-        if iterations >= opts.max_iterations:
-            break
-        if lm_fits and E <= _LM_ENERGY:
-            # LM takes no gradient, so its energy calls keep no terms: the
-            # buffer is freed before J is built
-            terms = None
-            X, E, lm_steps, terminated = _lm_finish(
-                spec, X, E, r, tol2, opts.max_iterations - iterations, energy_trace)
-            iterations += lm_steps
-            step_trace += [1.0] * lm_steps
-            kind_trace += ["lm"] * lm_steps
-            break
-
+    while E > tol2:
+        if len(step_trace) >= budget:
+            return X, E, step_trace, kind_trace, "max_iterations"
         if G is None:  # a retry after a failed search keeps the gradient
-            G = _gradient_raw(spec, X, r, terms)
+            G = _gradient_raw(spec, X, r)
         if not np.any(G):
-            terminated = "stalled"
-            break
+            return X, E, step_trace, kind_trace, "stalled"
         # carry the last move and the pairs to the tangent space at X
         used = stack[:len(rhos) + 1]
         used[...] = tangent_rows(X, used)
@@ -369,7 +343,7 @@ def solve(spec, init, opts=None, initial_bound=None):
         t = 1.0
         for _bt in range(_MAX_BACKTRACKS):
             Xt = _geodesic_rows(X, P, t)
-            Et, rt = _energy_raw(spec, Xt, fields=True, terms=terms)
+            Et, rt = _energy_raw(spec, Xt, fields=True)
             if not np.isfinite(Et):
                 raise ArithmeticError("numerical blowup: non-finite energy")
             if Et <= E + _ARMIJO * t * deriv:
@@ -380,15 +354,13 @@ def solve(spec, init, opts=None, initial_bound=None):
             # was steepest descent, a retry would repeat it exactly
             stall += 1
             if not rhos or stall >= _STALL_LIMIT:
-                terminated = "stalled"
-                break
+                return X, E, step_trace, kind_trace, "stalled"
             rhos, moved = [], False
             continue
 
         stack[0] = t * P, G
         moved = True
         X, r, G = Xt, rt, None
-        iterations += 1
         previous = E
         E = Et
         step_trace.append(t)
@@ -397,16 +369,46 @@ def solve(spec, init, opts=None, initial_bound=None):
         relative_drop = (previous - E) / max(abs(previous), 1e-300)
         stall = 0 if relative_drop >= _STALL_RELATIVE else stall + 1
         if stall >= _STALL_LIMIT:
-            terminated = "stalled"
-            break
+            return X, E, step_trace, kind_trace, "stalled"
+    return X, E, step_trace, kind_trace, "converged"
 
-    final_residual = float(np.sqrt(E))
+
+def solve(spec, init, opts=None, initial_bound=None):
+    """Drive a configuration to a spherical design by Levenberg-Marquardt
+    steps where J fits _JACOBIAN_DOUBLES, else by Riemannian L-BFGS (see
+    the module docstring).
+
+    Returns (Configuration, SolveReport); terminated is "converged" exactly
+    when the final residual sqrt(energy) is at or below opts.tolerance.
+    The energy trace holds the energies as computed, and final_residual is
+    `design_residual` of the returned points, bit for bit.
+    """
+    opts = opts or SolveOptions()
+    if init.spec is not spec and (init.spec.d != spec.d or init.spec.n != spec.n):
+        raise ValueError("configuration was built for a different kernel")
+    X = np.array(init.coords, dtype=float)
+    N = X.shape[0]
+    tol2 = opts.tolerance**2
+    E, r = _energy_raw(spec, X, fields=True)
+    if not np.isfinite(E):
+        raise ArithmeticError("numerical blowup: non-finite energy")
+    energy_trace = [E]
+    D = int(spec.dims.sum())
+    if D * (spec.d * N + D) <= _JACOBIAN_DOUBLES:
+        X, E, lm_steps, terminated = _lm_finish(
+            spec, X, E, r, tol2, opts.max_iterations, energy_trace)
+        step_trace, kind_trace = [1.0] * lm_steps, ["lm"] * lm_steps
+    else:
+        lm_steps = 0
+        X, E, step_trace, kind_trace, terminated = _lbfgs(
+            spec, X, E, r, tol2, opts.max_iterations, energy_trace)
+
     report = SolveReport(
-        iterations=iterations,
+        iterations=len(step_trace),
         energy_trace=energy_trace,
         step_trace=step_trace,
         kind_trace=kind_trace,
-        final_residual=final_residual,
+        final_residual=float(np.sqrt(E)),
         terminated=terminated,
         lm_steps=lm_steps,
         initial_bound=initial_bound,

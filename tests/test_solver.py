@@ -212,12 +212,12 @@ def test_solve_respects_max_iterations():
 
 def test_solve_stalls_where_no_design_is_known():
     # no 22-point 6-design on S^2 is known; this start stalls near residual
-    # 0.0118, above the LM switch, as it did before the LM finish
+    # 0.0118
     spec = make_kernel(2, 6)
     config, _ = initial_configuration(spec, 22, mode="random-in-region", seed=0)
     _, report = solve(spec, config, SolveOptions(max_iterations=3000))
     assert report.terminated in ("stalled", "max_iterations")
-    assert report.final_residual > 1e-3 and report.lm_steps == 0
+    assert report.final_residual > 1e-3
 
 
 def test_solve_underpopulated_does_not_converge():
@@ -230,17 +230,19 @@ def test_solve_underpopulated_does_not_converge():
 
 
 def test_solve_auto_step_seed_value(monkeypatch):
-    # with no memory the first direction is the steepest-descent step at the
-    # curvature-certificate seed; step_trace holds its accepted multiplier
+    # with no memory the first L-BFGS direction is the steepest-descent step
+    # at the curvature-certificate seed; step_trace holds its accepted
+    # multiplier.  A zero J budget keeps the solve on L-BFGS.
+    monkeypatch.setattr(solver, "_JACOBIAN_DOUBLES", 0)
     spec = make_kernel(2, 2)
     config, _ = initial_configuration(spec, 8, mode="centers")
     X = config.coords
     trials = []
     energy_raw = solver._energy_raw
 
-    def recorded_energy(spec, Y, fields=False, terms=None):
+    def recorded_energy(spec, Y, fields=False):
         trials.append(np.array(Y))
-        return energy_raw(spec, Y, fields=fields, terms=terms)
+        return energy_raw(spec, Y, fields=fields)
 
     monkeypatch.setattr(solver, "_energy_raw", recorded_energy)
     _, report = solve(spec, config)
@@ -300,19 +302,19 @@ def _solve_counting_calls(monkeypatch):
     calls = {"fields": 0, "energy": 0, "gradient": 0}
     fields, energy_raw, gradient_raw = kernel._fields, solver._energy_raw, solver._gradient_raw
 
-    def counted_fields(spec, X, terms=None):
+    def counted_fields(spec, X):
         calls["fields"] += 1
-        return fields(spec, X, terms)
+        return fields(spec, X)
 
     def counted_energy(*args, **kwargs):
         calls["energy"] += 1
         return energy_raw(*args, **kwargs)
 
-    def checked_gradient(spec, X, r=None, terms=None):
+    def checked_gradient(spec, X, r=None):
         calls["gradient"] += 1
         assert r is not None
         assert all(map(np.array_equal, r, kernel._residual_raw(spec, fields(spec, X))))
-        return gradient_raw(spec, X, r, terms)
+        return gradient_raw(spec, X, r)
 
     monkeypatch.setattr(kernel, "_fields", counted_fields)
     monkeypatch.setattr(solver, "_energy_raw", counted_energy)
@@ -325,8 +327,8 @@ def _solve_counting_calls(monkeypatch):
 
 def test_solve_makes_one_field_pass_per_energy_call(monkeypatch):
     # the gradient at an accepted point reuses the residual its energy call
-    # built; the LM switch is moved out of reach, so that L-BFGS runs to the end
-    monkeypatch.setattr(solver, "_LM_ENERGY", 0.0)
+    # built; a zero J budget keeps the solve on L-BFGS
+    monkeypatch.setattr(solver, "_JACOBIAN_DOUBLES", 0)
     report, calls = _solve_counting_calls(monkeypatch)
     assert report.terminated == "converged" and report.iterations > 10
     # the start plus at least one trial per iteration; no line search failed
@@ -336,12 +338,12 @@ def test_solve_makes_one_field_pass_per_energy_call(monkeypatch):
 
 
 def test_lm_finish_takes_no_gradient_and_no_field_pass_of_its_own(monkeypatch):
-    # the same solve with the LM finish: one field pass per energy call
-    # still, and a gradient for the L-BFGS iterations only
+    # the same solve by LM steps: one field pass per energy call still,
+    # and no gradient
     report, calls = _solve_counting_calls(monkeypatch)
-    assert report.terminated == "converged" and report.lm_steps > 0
+    assert report.terminated == "converged" and report.lm_steps == report.iterations > 0
     assert calls["energy"] >= report.iterations + 1
-    assert calls["gradient"] == report.iterations - report.lm_steps
+    assert calls["gradient"] == 0
     assert calls["fields"] == calls["energy"]
 
 
@@ -363,22 +365,21 @@ def test_solve_failed_line_search_restarts_from_steepest_descent(monkeypatch):
     # from the sixth energy call on the energy stops decreasing: the L-BFGS
     # search in progress fails, the memory is cleared, the next search starts
     # at the seeded steepest-descent step with the same gradient, and its
-    # failure ends the solve.  This start reaches the LM switch energy
-    # within five calls, so the switch is moved out of reach.
-    monkeypatch.setattr(solver, "_LM_ENERGY", 0.0)
+    # failure ends the solve.  A zero J budget keeps the solve on L-BFGS.
+    monkeypatch.setattr(solver, "_JACOBIAN_DOUBLES", 0)
     spec = make_kernel(2, 3)
     config, _ = initial_configuration(spec, 24, mode="random-in-region", seed=4)
     energy_raw, gradient_raw = solver._energy_raw, solver._gradient_raw
     trials = []
     gradients = []
 
-    def counted_gradient(spec, X, r=None, terms=None):
+    def counted_gradient(spec, X, r=None):
         gradients.append(np.array(X))
-        return gradient_raw(spec, X, r, terms)
+        return gradient_raw(spec, X, r)
 
-    def energy_that_stops_decreasing(spec, Y, fields=False, terms=None):
+    def energy_that_stops_decreasing(spec, Y, fields=False):
         trials.append(np.array(Y))
-        E, r = energy_raw(spec, Y, fields=True, terms=terms)
+        E, r = energy_raw(spec, Y, fields=True)
         if len(trials) > 5:
             E += 1.0
         return (E, r) if fields else E
@@ -399,20 +400,22 @@ def test_solve_failed_line_search_restarts_from_steepest_descent(monkeypatch):
     assert np.max(np.abs(trials[-2 * limit] - steepest)) > 1e-3
 
 
-def test_solve_kind_trace_names_every_iteration():
-    # L-BFGS (from a steepest-descent first step) down to the switch
-    # energy, then LM steps to the end, each taken whole
+def test_solve_kind_trace_names_every_iteration(monkeypatch):
+    # where J fits its budget, LM steps from the start, each taken whole;
+    # past it, L-BFGS from a steepest-descent first step, with no LM step
     spec = make_kernel(2, 6)
     config, _ = initial_configuration(spec, 98, mode="random-in-region", seed=3)
     _, report = solve(spec, config)
+    assert report.terminated == "converged" and report.iterations > 0
+    assert report.kind_trace == ["lm"] * report.iterations == ["lm"] * report.lm_steps
+    assert report.step_trace == [1.0] * report.iterations
+    monkeypatch.setattr(solver, "_JACOBIAN_DOUBLES", 0)
+    _, report = solve(spec, config)
     kinds = report.kind_trace
-    assert report.terminated == "converged"
-    assert len(kinds) == len(report.step_trace) == report.iterations
-    assert kinds[0] == "steepest" and set(kinds) <= {"steepest", "lbfgs", "lm"}
-    first = kinds.index("lm")
-    assert kinds[first:] == ["lm"] * report.lm_steps and "lm" not in kinds[:first]
-    assert report.step_trace[first:] == [1.0] * report.lm_steps
-    assert report.energy_trace[first] <= solver._LM_ENERGY < report.energy_trace[first - 1]
+    assert report.terminated == "converged" and report.lm_steps == 0
+    assert len(kinds) == len(report.step_trace) == report.iterations > 1
+    assert kinds[0] == "steepest" and set(kinds[1:]) <= {"steepest", "lbfgs"}
+    assert "lbfgs" in kinds
 
 
 def _residual_vector(spec, X):
@@ -445,7 +448,7 @@ def test_lm_step_tends_to_the_minimum_norm_least_squares_step():
 def test_lm_finish_stalls_when_no_trial_decreases(monkeypatch):
     # once the first Jacobian is built every energy comes back raised, so
     # every LM trial is rejected and the damping grows until the solve
-    # stalls at the last accepted point, with no LM step taken
+    # stalls at the start point, with no LM step taken
     spec = make_kernel(2, 6)
     config, _ = initial_configuration(spec, 98, mode="random-in-region", seed=3)
     energy_raw, jacobian_raw = solver._energy_raw, solver._jacobian_raw
@@ -455,25 +458,26 @@ def test_lm_finish_stalls_when_no_trial_decreases(monkeypatch):
         jacobians.append(np.array(X))
         return jacobian_raw(spec, X, out)
 
-    def energy_raised_after_the_switch(spec, Y, fields=False, terms=None):
-        E, r = energy_raw(spec, Y, fields=True, terms=terms)
+    def energy_raised_after_the_first_jacobian(spec, Y, fields=False):
+        E, r = energy_raw(spec, Y, fields=True)
         if jacobians:
             E += 1.0
         return (E, r) if fields else E
 
-    monkeypatch.setattr(solver, "_energy_raw", energy_raised_after_the_switch)
+    monkeypatch.setattr(solver, "_energy_raw", energy_raised_after_the_first_jacobian)
     monkeypatch.setattr(solver, "_jacobian_raw", counted_jacobian)
     final, report = solve(spec, config)
     assert report.terminated == "stalled"
-    assert report.lm_steps == 0 and "lm" not in report.kind_trace
+    assert report.iterations == report.lm_steps == 0 and report.kind_trace == []
+    assert np.array_equal(final.coords, config.coords)
     assert len(jacobians) == 1 and np.array_equal(jacobians[0], final.coords)
-    assert report.energy_trace[-1] <= solver._LM_ENERGY
+    assert report.energy_trace == [_energy_raw(spec, config.coords)]
     assert report.final_residual == design_residual(spec, final.coords)
 
 
 def test_lm_finish_needs_j_and_its_gram_within_the_budget(monkeypatch):
-    # J (48 x 196) and J J^T (48 x 48) at (2, 6, 98): at the budget the LM
-    # finish runs, one double past it the solve is L-BFGS to the end
+    # J (48 x 196) and J J^T (48 x 48) at (2, 6, 98): at the budget the
+    # solve is LM steps to the end, one double past it L-BFGS to the end
     spec = make_kernel(2, 6)
     config, _ = initial_configuration(spec, 98, mode="random-in-region", seed=3)
     need = 48 * (2 * 98 + 48)
@@ -481,8 +485,6 @@ def test_lm_finish_needs_j_and_its_gram_within_the_budget(monkeypatch):
     _, at = solve(spec, config)
     monkeypatch.setattr(solver, "_JACOBIAN_DOUBLES", need - 1)
     _, past = solve(spec, config)
-    monkeypatch.setattr(solver, "_LM_ENERGY", 0.0)
-    _, lbfgs = solve(spec, config)
     assert at.terminated == past.terminated == "converged"
-    assert at.lm_steps > 0 and past.lm_steps == 0
-    assert past.energy_trace == lbfgs.energy_trace and past.kind_trace == lbfgs.kind_trace
+    assert at.kind_trace == ["lm"] * at.iterations and at.lm_steps == at.iterations > 0
+    assert past.lm_steps == 0 and past.kind_trace[0] == "steepest" and "lm" not in past.kind_trace
