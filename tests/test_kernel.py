@@ -546,12 +546,10 @@ def test_jacobian_matches_central_differences_of_the_residual(d, n):
         assert np.max(np.abs(derivative - Ju)) <= 1e-9 * np.max(np.abs(Ju)), d
 
 
-@pytest.mark.parametrize("d, n", FIELD_CASES)
-def test_jacobian_transpose_residual_is_half_the_gradient(d, n, monkeypatch):
-    # 2 J^T r is the gradient, and the gradient route given any w in place
-    # of r is the transpose product 2 J^T w
+def _check_transpose_products(d, n, N, monkeypatch):
+    """2 J^T r is the gradient, and the gradient route given any w in place
+    of r is the transpose product 2 J^T w, in one node block and in several."""
     spec = make_kernel(d, n)
-    N = 29
     X = _random_rows(spec, N, d + n)
     J, basis = _jacobian_raw(spec, X)
     r = _residual_vector(spec, X)
@@ -564,9 +562,21 @@ def test_jacobian_transpose_residual_is_half_the_gradient(d, n, monkeypatch):
     G_jacobian, W_jacobian = ambient(r), ambient(w)
     for _ in _one_and_several_node_blocks(d, n, N, monkeypatch):
         G = _gradient_raw(spec, X)
-        assert np.max(np.abs(G - G_jacobian)) <= 1e-12 * np.max(np.abs(G)), (d, n)
+        assert np.max(np.abs(G - G_jacobian)) <= 1e-12 * np.max(np.abs(G)), (d, n, N)
         W = _gradient_raw(spec, X, r=w_blocks)
-        assert np.max(np.abs(W - W_jacobian)) <= 1e-12 * np.max(np.abs(W)), (d, n)
+        assert np.max(np.abs(W - W_jacobian)) <= 1e-12 * np.max(np.abs(W)), (d, n, N)
+
+
+@pytest.mark.parametrize("d, n", FIELD_CASES)
+def test_jacobian_transpose_residual_is_half_the_gradient(d, n, monkeypatch):
+    _check_transpose_products(d, n, 29, monkeypatch)
+
+
+@pytest.mark.parametrize("d, n, N", [(2, 3, 20), (2, 12, 338), (3, 4, 60)])
+def test_gradient_route_is_the_transpose_product_at_solver_sizes(d, n, N, monkeypatch):
+    # sizes the solver meets, where a gradient route that rebuilt r from X
+    # instead of taking the w it is given was off by a relative 0.99 to 1.03
+    _check_transpose_products(d, n, N, monkeypatch)
 
 
 @pytest.mark.parametrize("d, n", FIELD_CASES)
